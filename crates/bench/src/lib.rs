@@ -26,7 +26,8 @@
 //! hot paths (DRAM command issue, controller scheduling, tag-store
 //! operations, trace generation).
 
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use figaro_sim::runner::Scale;
@@ -34,18 +35,41 @@ use figaro_sim::Runner;
 
 /// Workspace-root path for a bench artifact (`BENCH_*.json`/`.csv`).
 /// Bench binaries run with the *package* directory as cwd, so relative
-/// paths would scatter artifacts under `crates/bench/`.
+/// paths would scatter artifacts under `crates/bench/`. The root is found
+/// at run time from the working directory, so a relocated build writes
+/// into the tree it runs in.
 ///
-/// # Panics
-///
-/// Panics if the crate is not nested two levels below the workspace root.
+/// Exits with status 2 and a message when the working directory is not
+/// inside a workspace.
 #[must_use]
 pub fn artifact_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+    let root = std::env::current_dir().and_then(|cwd| workspace_root(&cwd));
+    match root {
+        Ok(root) => root.join(name),
+        Err(e) => {
+            eprintln!("error: cannot place bench artifact {name}: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The nearest ancestor of `start` (itself included) that holds a
+/// `Cargo.lock`: the root of the workspace `start` lies in.
+///
+/// # Errors
+///
+/// `NotFound` when no ancestor holds a `Cargo.lock`.
+fn workspace_root(start: &Path) -> io::Result<PathBuf> {
+    start
         .ancestors()
-        .nth(2)
-        .expect("workspace root exists")
-        .join(name)
+        .find(|dir| dir.join("Cargo.lock").is_file())
+        .map(Path::to_path_buf)
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("no Cargo.lock in {} or any parent directory", start.display()),
+            )
+        })
 }
 
 /// Builds the shared runner and prints the standard bench header.
@@ -62,4 +86,25 @@ pub fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
     let r = f();
     println!("[{label}: {:.1}s]", start.elapsed().as_secs_f64());
     r
+}
+
+#[cfg(test)]
+mod tests {
+    use std::fs;
+
+    use super::*;
+
+    #[test]
+    fn workspace_root_is_the_nearest_ancestor_with_a_lockfile() {
+        let tmp = std::env::temp_dir().join(format!("figaro-bench-root-{}", std::process::id()));
+        let nested = tmp.join("ws").join("crates").join("bench");
+        fs::create_dir_all(&nested).unwrap();
+        fs::write(tmp.join("ws").join("Cargo.lock"), "").unwrap();
+        assert_eq!(workspace_root(&nested).unwrap(), tmp.join("ws"));
+        assert_eq!(workspace_root(&tmp.join("ws")).unwrap(), tmp.join("ws"));
+        fs::remove_file(tmp.join("ws").join("Cargo.lock")).unwrap();
+        let err = workspace_root(&nested).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        fs::remove_dir_all(&tmp).unwrap();
+    }
 }

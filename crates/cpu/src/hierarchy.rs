@@ -92,6 +92,21 @@ pub struct HierarchyStats {
     pub mshr_stalls: u64,
 }
 
+/// A core's last access that stalled on full MSHRs: the block, and the
+/// hierarchy's LLC-fill count when it stalled. While both still match, a
+/// repeat access to the block is known to stall again (see
+/// [`CacheHierarchy::access`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StallMemo {
+    block: u64,
+    llc_fills: u64,
+}
+
+impl StallMemo {
+    /// No memoised stall. Blocks are block-aligned, so no access matches.
+    const NONE: Self = Self { block: u64::MAX, llc_fills: 0 };
+}
+
 /// The shared cache hierarchy.
 #[derive(Debug)]
 pub struct CacheHierarchy {
@@ -107,6 +122,11 @@ pub struct CacheHierarchy {
     llc_misses_per_core: Vec<u64>,
     mshr_merges: u64,
     mshr_stalls: u64,
+    /// Per-core repeat-stall memo; cleared by the core's own slow-path
+    /// accesses and completions, and by `load_state`.
+    stall_memo: Vec<StallMemo>,
+    /// LLC insertions so far: any of them may bring a stalled block in.
+    llc_fills: u64,
 }
 
 impl CacheHierarchy {
@@ -126,6 +146,8 @@ impl CacheHierarchy {
             llc_misses_per_core: vec![0; cores],
             mshr_merges: 0,
             mshr_stalls: 0,
+            stall_memo: vec![StallMemo::NONE; cores],
+            llc_fills: 0,
         }
     }
 
@@ -137,8 +159,21 @@ impl CacheHierarchy {
     /// stores are posted, so they return [`Access::Hit`] even when the
     /// line is being fetched (the MSHR records that the eventual fill must
     /// be dirty). [`Access::Stall`] means the core must retry.
+    ///
+    /// A core retrying the block it last stalled on takes a fast path
+    /// when no LLC fill has happened since: the stall depends only on the
+    /// core's own L1, L2 and MSHRs (which change only through its own
+    /// slow-path accesses and completions, both of which clear the memo)
+    /// and on the block's LLC presence (which changes only through an LLC
+    /// fill). The fast path books exactly the slow path's side effects.
     pub fn access(&mut self, core: usize, addr: u64, is_write: bool, now: u64) -> Access {
         let block = self.block_of(addr);
+        let memo = StallMemo { block, llc_fills: self.llc_fills };
+        if self.stall_memo[core] == memo {
+            self.book_stall_retries(core, block, 1);
+            return Access::Stall;
+        }
+        self.stall_memo[core] = StallMemo::NONE;
         let lat1 = u64::from(self.cfg.l1.latency);
         if self.l1[core].access(block, is_write) {
             return Access::Hit { ready_at: now + lat1 };
@@ -168,6 +203,7 @@ impl CacheHierarchy {
         }
         if self.mshrs[core].len() >= self.cfg.mshrs_per_core {
             self.mshr_stalls += 1;
+            self.stall_memo[core] = memo;
             return Access::Stall;
         }
         let req_id = self.next_req_id;
@@ -201,18 +237,21 @@ impl CacheHierarchy {
 
     fn fill_l2(&mut self, core: usize, block: u64) {
         if let Some(victim) = self.l2[core].fill(block, false) {
-            self.fill_llc_dirty(victim);
+            self.fill_llc(victim, true);
         }
     }
 
     fn fill_l2_dirty(&mut self, core: usize, block: u64) {
         if let Some(victim) = self.l2[core].fill(block, true) {
-            self.fill_llc_dirty(victim);
+            self.fill_llc(victim, true);
         }
     }
 
-    fn fill_llc_dirty(&mut self, block: u64) {
-        if let Some(victim) = self.llc.fill(block, true) {
+    /// Every LLC insertion goes through here, so `llc_fills` invalidates
+    /// all repeat-stall memos.
+    fn fill_llc(&mut self, block: u64, dirty: bool) {
+        self.llc_fills += 1;
+        if let Some(victim) = self.llc.fill(block, dirty) {
             self.push_writeback(victim);
         }
     }
@@ -240,9 +279,8 @@ impl CacheHierarchy {
     pub fn on_completion(&mut self, req_id: u64) -> Vec<u64> {
         let (core, block) = self.req_map.remove(&req_id).expect("completion for unknown request");
         let entry = self.mshrs[core].remove(&block).expect("MSHR entry must exist");
-        if let Some(victim) = self.llc.fill(block, false) {
-            self.push_writeback(victim);
-        }
+        self.stall_memo[core] = StallMemo::NONE;
+        self.fill_llc(block, false);
         self.fill_l2(core, block);
         self.fill_l1(core, block, entry.store);
         entry.waiters
@@ -258,23 +296,37 @@ impl CacheHierarchy {
     ///
     /// Only valid while the hierarchy state is unchanged since the access
     /// last stalled (no fills, no other accesses by this core), which is
-    /// exactly the skipped-interval invariant.
+    /// exactly the skipped-interval invariant. The accounting is shared
+    /// with the repeat-stall fast path of [`CacheHierarchy::access`].
     pub fn apply_stall_retries(&mut self, core: usize, addr: u64, is_write: bool, cycles: u64) {
-        let block = self.block_of(addr);
-        debug_assert!(
-            !self.l1[core].probe(block) && !self.l2[core].probe(block) && !self.llc.probe(block),
-            "stall retries require the block to miss every level"
-        );
-        debug_assert!(
-            !self.mshrs[core].contains_key(&block)
-                && self.mshrs[core].len() >= self.cfg.mshrs_per_core,
-            "stall retries require full MSHRs without a mergeable entry"
-        );
         let _ = is_write; // misses count identically for loads and stores
-        self.l1[core].note_misses(cycles);
-        self.l2[core].note_misses(cycles);
-        self.llc.note_misses(cycles);
-        self.mshr_stalls += cycles;
+        self.book_stall_retries(core, self.block_of(addr), cycles);
+    }
+
+    /// Books `times` retries of `core`'s access to `block` that stall on
+    /// full MSHRs: one L1, L2 and LLC miss each (advancing the recency
+    /// clocks as the lookups would) and one MSHR stall.
+    fn book_stall_retries(&mut self, core: usize, block: u64, times: u64) {
+        debug_assert!(
+            self.stalls_on_full_mshrs(core, block),
+            "stall retries require the block to miss every level and full MSHRs without a \
+             mergeable entry"
+        );
+        self.l1[core].note_misses(times);
+        self.l2[core].note_misses(times);
+        self.llc.note_misses(times);
+        self.mshr_stalls += times;
+    }
+
+    /// The full stall predicate of [`CacheHierarchy::access`]: `block`
+    /// misses every level and `core`'s MSHRs are full with no entry to
+    /// merge into.
+    fn stalls_on_full_mshrs(&self, core: usize, block: u64) -> bool {
+        !self.l1[core].probe(block)
+            && !self.l2[core].probe(block)
+            && !self.llc.probe(block)
+            && !self.mshrs[core].contains_key(&block)
+            && self.mshrs[core].len() >= self.cfg.mshrs_per_core
     }
 
     /// The next CPU cycle strictly after `now` at which the hierarchy has
@@ -401,6 +453,7 @@ impl CacheHierarchy {
         }
         self.mshr_merges = crate::take(src);
         self.mshr_stalls = crate::take(src);
+        self.stall_memo.fill(StallMemo::NONE);
     }
 
     /// Snapshot of all counters.
@@ -580,5 +633,185 @@ mod tests {
             }
         }
         assert!(wrote_back, "dirty block 0 must eventually be written back");
+    }
+
+    /// Core 0 holds eight outstanding misses and has stalled twice on
+    /// `STALLED` (the second time through the repeat-stall fast path).
+    /// Returns the read requests issued so far, in order.
+    fn stall_core0(h: &mut CacheHierarchy) -> Vec<Request> {
+        for i in 0..8u64 {
+            assert!(matches!(h.access(0, i * 0x10000, false, 0), Access::Pending { .. }));
+        }
+        assert_eq!(h.access(0, STALLED, false, 1), Access::Stall);
+        assert_eq!(h.access(0, STALLED, false, 2), Access::Stall);
+        assert_eq!(h.stats().mshr_stalls, 2);
+        h.take_outgoing().collect()
+    }
+
+    const STALLED: u64 = 99 * 0x10000;
+
+    #[test]
+    fn repeat_stall_ends_when_another_cores_completion_fills_the_llc() {
+        let mut h = hierarchy();
+        let _ = stall_core0(&mut h);
+        let Access::Pending { .. } = h.access(1, STALLED, false, 3) else { panic!() };
+        let reqs: Vec<Request> = h.take_outgoing().collect();
+        h.on_completion(reqs[0].id);
+        match h.access(0, STALLED, false, 10) {
+            Access::Hit { ready_at } => assert_eq!(ready_at, 10 + 4 + 12 + 38),
+            other => panic!("expected LLC hit, got {other:?}"),
+        }
+        assert_eq!(h.stats().mshr_stalls, 2);
+    }
+
+    #[test]
+    fn repeat_stall_ends_when_another_cores_dirty_l2_victim_reaches_the_llc() {
+        // Direct-mapped levels: L1 2 sets, L2 4 sets, LLC 8 sets; one MSHR
+        // per core. Block n sits in L1 set n%2, L2 set n%4, LLC set n%8.
+        let cfg = HierarchyConfig {
+            l1: CacheParams { size_bytes: 128, ways: 1, block_bytes: 64, latency: 1 },
+            l2: CacheParams { size_bytes: 256, ways: 1, block_bytes: 64, latency: 2 },
+            llc: CacheParams { size_bytes: 512, ways: 1, block_bytes: 64, latency: 3 },
+            mshrs_per_core: 1,
+            fill_latency: 1,
+        };
+        let mut h = CacheHierarchy::new(cfg, 2);
+        let block = |n: u64| n * 64;
+        let fetch = |h: &mut CacheHierarchy, core: usize, n: u64, is_write: bool| {
+            let _ = h.access(core, block(n), is_write, 0);
+            let reqs: Vec<Request> = h.take_outgoing().collect();
+            assert_eq!(reqs.len(), 1);
+            h.on_completion(reqs[0].id);
+        };
+        // Core 1 stores block 0, then block 2 pushes it out of L1, leaving
+        // it dirty in core 1's L2.
+        fetch(&mut h, 1, 0, true);
+        fetch(&mut h, 1, 2, false);
+        // Core 0 brings block 4 into the LLC, then block 8 evicts block 0
+        // (clean there) from LLC set 0.
+        fetch(&mut h, 0, 4, false);
+        fetch(&mut h, 0, 8, false);
+        // Core 0's single MSHR goes to block 3; block 0 now stalls.
+        assert!(matches!(h.access(0, block(3), false, 0), Access::Pending { .. }));
+        let _ = h.take_outgoing().count();
+        assert_eq!(h.access(0, block(0), false, 1), Access::Stall);
+        assert_eq!(h.access(0, block(0), false, 2), Access::Stall);
+        // Core 1's LLC hit on block 4 evicts its dirty L2 copy of block 0
+        // into the LLC: no completion is involved.
+        assert!(matches!(h.access(1, block(4), false, 3), Access::Hit { .. }));
+        match h.access(0, block(0), false, 10) {
+            Access::Hit { ready_at } => assert_eq!(ready_at, 10 + 1 + 2 + 3),
+            other => panic!("expected LLC hit, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn repeat_stall_ends_when_the_cores_own_completion_frees_an_mshr() {
+        let mut h = hierarchy();
+        let reqs = stall_core0(&mut h);
+        h.on_completion(reqs[0].id);
+        assert!(matches!(h.access(0, STALLED, false, 10), Access::Pending { .. }));
+        assert_eq!(h.stats().mshr_stalls, 2);
+    }
+
+    #[test]
+    fn repeat_stall_ends_when_state_is_loaded() {
+        let mut h = hierarchy();
+        let mut empty = Vec::new();
+        h.save_state(&mut empty);
+        let _ = stall_core0(&mut h);
+        h.load_state(&mut &empty[..]);
+        assert!(matches!(h.access(0, STALLED, false, 10), Access::Pending { .. }));
+        assert_eq!(h.stats().mshr_stalls, 0);
+    }
+
+    #[test]
+    fn repeat_stall_books_what_the_lookup_walk_books() {
+        let mut fast = hierarchy();
+        let mut slow = hierarchy();
+        let _ = stall_core0(&mut fast);
+        let _ = stall_core0(&mut slow);
+        for now in 3..10u64 {
+            assert_eq!(fast.access(0, STALLED, true, now), Access::Stall);
+            round_trip(&mut slow);
+            assert_eq!(slow.access(0, STALLED, true, now), Access::Stall);
+        }
+        assert_eq!(fast.stats(), slow.stats());
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        fast.save_state(&mut a);
+        slow.save_state(&mut b);
+        assert_eq!(a, b, "recency clocks and lines advance identically");
+    }
+
+    /// Saves and reloads `h`, which clears every repeat-stall memo, so the
+    /// next access walks the full lookup path.
+    pub(super) fn round_trip(h: &mut CacheHierarchy) {
+        let mut words = Vec::new();
+        h.save_state(&mut words);
+        h.load_state(&mut &words[..]);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::tests::round_trip;
+    use super::*;
+    use proptest::prelude::*;
+
+    fn small_hierarchy(cores: usize) -> CacheHierarchy {
+        // Small, low-associativity levels and two MSHRs per core, so that
+        // stalls, evictions, dirty writebacks and LLC fills all interleave.
+        let cfg = HierarchyConfig {
+            l1: CacheParams { size_bytes: 256, ways: 2, block_bytes: 64, latency: 1 },
+            l2: CacheParams { size_bytes: 512, ways: 2, block_bytes: 64, latency: 2 },
+            llc: CacheParams { size_bytes: 1024, ways: 2, block_bytes: 64, latency: 3 },
+            mshrs_per_core: 2,
+            fill_latency: 1,
+        };
+        CacheHierarchy::new(cfg, cores)
+    }
+
+    proptest! {
+        /// The repeat-stall fast path is invisible: a hierarchy that takes
+        /// it agrees, access by access and counter by counter, with a
+        /// shadow whose memo is cleared (by a snapshot round trip) before
+        /// every access, so the shadow always walks the full lookup path.
+        #[test]
+        fn repeat_stall_fast_path_matches_full_walks(
+            ops in proptest::collection::vec((0u8..8, 0u8..3, 0u64..48, any::<bool>()), 1..400)
+        ) {
+            let cores = 3;
+            let mut fast = small_hierarchy(cores);
+            let mut shadow = small_hierarchy(cores);
+            let mut last = [0u64; 3];
+            let mut in_flight: Vec<u64> = Vec::new();
+            for (now, (kind, core, x, is_write)) in (0u64..).zip(ops) {
+                let core = usize::from(core);
+                if kind == 7 {
+                    // Complete an outstanding fill, if any.
+                    if !in_flight.is_empty() {
+                        let id = in_flight.remove(x as usize % in_flight.len());
+                        prop_assert_eq!(fast.on_completion(id), shadow.on_completion(id));
+                    }
+                    continue;
+                }
+                // Kinds 0..4 retry the core's last address, so repeat
+                // stalls are common; the rest pick a fresh block.
+                let addr = if kind < 4 { last[core] } else { x * 64 };
+                last[core] = addr;
+                round_trip(&mut shadow);
+                let got = fast.access(core, addr, is_write, now);
+                prop_assert_eq!(got, shadow.access(core, addr, is_write, now));
+                prop_assert_eq!(fast.stats(), shadow.stats());
+                let out: Vec<Request> = fast.take_outgoing().collect();
+                let shadow_out: Vec<Request> = shadow.take_outgoing().collect();
+                prop_assert_eq!(&out, &shadow_out);
+                in_flight.extend(out.iter().filter(|r| !r.is_write).map(|r| r.id));
+            }
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            fast.save_state(&mut a);
+            shadow.save_state(&mut b);
+            prop_assert_eq!(a, b);
+        }
     }
 }

@@ -935,10 +935,9 @@ impl Runner {
             self.config_suffixes()
         );
         let insts = insts_for(profile, self.scale);
-        let trace = self.trace_for(profile, 0);
         let cfg = self.system_config(1, kind);
-        self.cached(&key, move || {
-            let mut sys = System::new(cfg, vec![trace], &[insts]);
+        self.cached(&key, || {
+            let mut sys = System::new(cfg, vec![self.trace_for(profile, 0)], &[insts]);
             RunSummary::from_stats(&sys.run(insts * 400))
         })
     }
@@ -954,10 +953,10 @@ impl Runner {
         );
         let targets: Vec<u64> = mix.apps.iter().map(|p| insts_for(p, self.scale)).collect();
         let max_cycles = targets.iter().max().copied().unwrap_or(1) * 400;
-        let traces: Vec<Trace> =
-            mix.apps.iter().enumerate().map(|(i, p)| self.trace_for(p, i)).collect();
         let cfg = self.system_config(8, kind);
-        self.cached(&key, move || {
+        self.cached(&key, || {
+            let traces: Vec<Trace> =
+                mix.apps.iter().enumerate().map(|(i, p)| self.trace_for(p, i)).collect();
             let mut sys = System::new(cfg, traces, &targets);
             RunSummary::from_stats(&sys.run(max_cycles))
         })
@@ -975,9 +974,9 @@ impl Runner {
             self.config_suffixes()
         );
         let insts = insts_for(profile, self.scale);
-        let traces: Vec<Trace> = (0..8).map(|i| self.trace_for(profile, i)).collect();
         let cfg = self.system_config(8, kind);
-        self.cached(&key, move || {
+        self.cached(&key, || {
+            let traces: Vec<Trace> = (0..8).map(|i| self.trace_for(profile, i)).collect();
             let mut sys = System::new(cfg, traces, &[insts; 8]);
             RunSummary::from_stats(&sys.run(insts * 400))
         })
@@ -989,10 +988,9 @@ impl Runner {
         let key =
             format!("{}-alone-{}{}", self.scale.label(), profile.name, self.config_suffixes());
         let insts = insts_for(profile, self.scale);
-        let trace = self.trace_for(profile, 0);
         let cfg = self.system_config(8, ConfigKind::Base);
-        let summary = self.cached(&key, move || {
-            let mut traces = vec![trace];
+        let summary = self.cached(&key, || {
+            let mut traces = vec![self.trace_for(profile, 0)];
             // Seven idle companion cores.
             for _ in 1..8 {
                 traces.push(idle_companion_trace());

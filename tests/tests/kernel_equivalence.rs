@@ -58,3 +58,27 @@ proptest! {
         prop_assert!(reference.dram.reads > 0, "workload never reached DRAM");
     }
 }
+
+/// The saturated regime the proptest above never reaches: eight
+/// write-heavy `lbm` cores on one channel keep every core's MSHRs full,
+/// so most core ticks are stall retries (the hierarchy's repeat-stall
+/// fast path). Event, Reference and Parallel must still agree.
+#[test]
+fn saturated_eight_core_one_channel_kernels_agree() {
+    let lbm = app_profiles().into_iter().find(|p| p.name == "lbm").expect("lbm profile");
+    let insts = 10_000;
+    let run = |kernel: Kernel| {
+        let traces: Vec<Trace> = (0..8u64)
+            .map(|i| generate_trace(&lbm, 6_000, 11 ^ i.wrapping_mul(0x9e37_79b9)))
+            .collect();
+        let cfg = SystemConfig { kernel, ..SystemConfig::paper(8, ConfigKind::Base) }
+            .with_channels(1)
+            .with_threads(2);
+        System::new(cfg, traces, &[insts; 8]).run(insts * 400)
+    };
+    let reference = run(Kernel::Reference);
+    assert!(reference.instructions.iter().all(|&i| i == insts));
+    assert!(reference.hierarchy.mshr_stalls > 0, "MSHRs never filled: not the saturated regime");
+    assert_eq!(reference, run(Kernel::Event), "event kernel diverged");
+    assert_eq!(reference, run(Kernel::Parallel), "parallel kernel diverged");
+}
