@@ -394,7 +394,7 @@ impl TraceCore {
             debug_assert!(self.pending_mem.is_some(), "stalled without a pending op");
             if let Some(op) = self.pending_mem {
                 self.stats.stall_cycles += cycles;
-                hierarchy.apply_stall_retries(self.id, op.addr, op.is_write, cycles);
+                hierarchy.apply_stall_retries(self.id, op.addr, now + cycles);
             }
         } else {
             // Batched full-width non-memory issue.
@@ -431,6 +431,8 @@ impl TraceCore {
                     retired_this_cycle += 1;
                     if self.stats.retired >= self.target_insts {
                         self.finished_at = Some(now);
+                        // A finished core never retries a stalled access.
+                        hierarchy.forget_stall(self.id);
                         return;
                     }
                 }

@@ -92,19 +92,28 @@ pub struct HierarchyStats {
     pub mshr_stalls: u64,
 }
 
-/// A core's last access that stalled on full MSHRs: the block, and the
-/// hierarchy's LLC-fill count when it stalled. While both still match, a
-/// repeat access to the block is known to stall again (see
-/// [`CacheHierarchy::access`]).
+/// A core's stall ledger: the block its last access stalled on while
+/// that stall provably persists, and the cycle through which the core's
+/// stall retries are booked (see [`CacheHierarchy::apply_stall_retries`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct StallMemo {
+struct StallLedger {
+    /// The stalled block, or [`StallLedger::NO_BLOCK`].
     block: u64,
-    llc_fills: u64,
+    booked_through: u64,
 }
 
-impl StallMemo {
-    /// No memoised stall. Blocks are block-aligned, so no access matches.
-    const NONE: Self = Self { block: u64::MAX, llc_fills: 0 };
+impl StallLedger {
+    /// No standing stall. Blocks are block-aligned, so no access matches.
+    const NO_BLOCK: u64 = u64::MAX;
+}
+
+/// Where an LLC fill sits in a system's tick order: during cycle `now`,
+/// cores `0..first_after` have already ticked (and retried any stalled
+/// access), the rest tick after the fill.
+#[derive(Debug, Clone, Copy)]
+struct Filler {
+    now: u64,
+    first_after: usize,
 }
 
 /// The shared cache hierarchy.
@@ -122,11 +131,14 @@ pub struct CacheHierarchy {
     llc_misses_per_core: Vec<u64>,
     mshr_merges: u64,
     mshr_stalls: u64,
-    /// Per-core repeat-stall memo; cleared by the core's own slow-path
-    /// accesses and completions, and by `load_state`.
-    stall_memo: Vec<StallMemo>,
-    /// LLC insertions so far: any of them may bring a stalled block in.
-    llc_fills: u64,
+    /// Per-core stall ledger. The block is cleared by the core's own
+    /// slow-path accesses and completions, by an LLC fill of that block,
+    /// and by `load_state`/`forget_stall`.
+    ledger: Vec<StallLedger>,
+    /// Cores whose standing stall was ended by another event (an LLC fill
+    /// of their block, or their own completion), at most once each, until
+    /// the caller takes them.
+    unstalled: Vec<usize>,
 }
 
 impl CacheHierarchy {
@@ -146,8 +158,8 @@ impl CacheHierarchy {
             llc_misses_per_core: vec![0; cores],
             mshr_merges: 0,
             mshr_stalls: 0,
-            stall_memo: vec![StallMemo::NONE; cores],
-            llc_fills: 0,
+            ledger: vec![StallLedger { block: StallLedger::NO_BLOCK, booked_through: 0 }; cores],
+            unstalled: Vec::new(),
         }
     }
 
@@ -161,32 +173,41 @@ impl CacheHierarchy {
     /// be dirty). [`Access::Stall`] means the core must retry.
     ///
     /// A core retrying the block it last stalled on takes a fast path
-    /// when no LLC fill has happened since: the stall depends only on the
-    /// core's own L1, L2 and MSHRs (which change only through its own
-    /// slow-path accesses and completions, both of which clear the memo)
-    /// and on the block's LLC presence (which changes only through an LLC
-    /// fill). The fast path books exactly the slow path's side effects.
+    /// while its stall ledger still holds that block: the stall depends
+    /// only on the core's own L1, L2 and MSHRs (which change only through
+    /// its own slow-path accesses and completions, both of which clear the
+    /// ledger) and on the block's LLC presence (which changes only through
+    /// an LLC fill of the block, which clears it too). The fast path books
+    /// exactly the slow path's side effects.
+    ///
+    /// A stalled core is modelled as retrying every cycle until its stall
+    /// ends. When this access's fills bring a block another core is
+    /// stalled on into the LLC, that core's unbooked retries are booked
+    /// first, with `core` ticking at `now` in ascending core order (see
+    /// [`CacheHierarchy::on_completion_at`]); a caller that retries every
+    /// cycle has none left to book.
     pub fn access(&mut self, core: usize, addr: u64, is_write: bool, now: u64) -> Access {
         let block = self.block_of(addr);
-        let memo = StallMemo { block, llc_fills: self.llc_fills };
-        if self.stall_memo[core] == memo {
+        if self.ledger[core].block == block {
             self.book_stall_retries(core, block, 1);
+            self.ledger[core].booked_through = now;
             return Access::Stall;
         }
-        self.stall_memo[core] = StallMemo::NONE;
+        self.ledger[core].block = StallLedger::NO_BLOCK;
+        let by = Some(Filler { now, first_after: core });
         let lat1 = u64::from(self.cfg.l1.latency);
         if self.l1[core].access(block, is_write) {
             return Access::Hit { ready_at: now + lat1 };
         }
         let lat2 = lat1 + u64::from(self.cfg.l2.latency);
         if self.l2[core].access(block, false) {
-            self.fill_l1(core, block, is_write);
+            self.fill_l1(core, block, is_write, by);
             return Access::Hit { ready_at: now + lat2 };
         }
         let lat3 = lat2 + u64::from(self.cfg.llc.latency);
         if self.llc.access(block, false) {
-            self.fill_l2(core, block);
-            self.fill_l1(core, block, is_write);
+            self.fill_l2(core, block, by);
+            self.fill_l1(core, block, is_write, by);
             return Access::Hit { ready_at: now + lat3 };
         }
         // LLC miss → MSHR.
@@ -203,7 +224,7 @@ impl CacheHierarchy {
         }
         if self.mshrs[core].len() >= self.cfg.mshrs_per_core {
             self.mshr_stalls += 1;
-            self.stall_memo[core] = memo;
+            self.ledger[core] = StallLedger { block, booked_through: now };
             return Access::Stall;
         }
         let req_id = self.next_req_id;
@@ -229,28 +250,33 @@ impl CacheHierarchy {
         Access::Pending { token }
     }
 
-    fn fill_l1(&mut self, core: usize, block: u64, dirty: bool) {
+    fn fill_l1(&mut self, core: usize, block: u64, dirty: bool, by: Option<Filler>) {
         if let Some(victim) = self.l1[core].fill(block, dirty) {
-            self.fill_l2_dirty(core, victim);
+            self.fill_l2_dirty(core, victim, by);
         }
     }
 
-    fn fill_l2(&mut self, core: usize, block: u64) {
+    fn fill_l2(&mut self, core: usize, block: u64, by: Option<Filler>) {
         if let Some(victim) = self.l2[core].fill(block, false) {
-            self.fill_llc(victim, true);
+            self.fill_llc(victim, true, by);
         }
     }
 
-    fn fill_l2_dirty(&mut self, core: usize, block: u64) {
+    fn fill_l2_dirty(&mut self, core: usize, block: u64, by: Option<Filler>) {
         if let Some(victim) = self.l2[core].fill(block, true) {
-            self.fill_llc(victim, true);
+            self.fill_llc(victim, true, by);
         }
     }
 
-    /// Every LLC insertion goes through here, so `llc_fills` invalidates
-    /// all repeat-stall memos.
-    fn fill_llc(&mut self, block: u64, dirty: bool) {
-        self.llc_fills += 1;
+    /// Every LLC insertion goes through here, so a core stalled on
+    /// `block` has its retries booked up to the fill (see
+    /// [`CacheHierarchy::end_stall`]) and its ledger cleared first.
+    fn fill_llc(&mut self, block: u64, dirty: bool, by: Option<Filler>) {
+        for core in 0..self.ledger.len() {
+            if self.ledger[core].block == block {
+                self.end_stall(core, by);
+            }
+        }
         if let Some(victim) = self.llc.fill(block, dirty) {
             self.push_writeback(victim);
         }
@@ -268,39 +294,108 @@ impl CacheHierarchy {
         });
     }
 
-    /// A fill returned from memory: installs the block in LLC/L2/L1 and
-    /// returns the load tokens to wake (the core adds
-    /// [`HierarchyConfig::fill_latency`]).
+    /// A fill returned from memory, for callers that retry every stalled
+    /// access each cycle (so no stall retry is ever deferred): installs
+    /// the block in LLC/L2/L1 and returns the load tokens to wake (the
+    /// core adds [`HierarchyConfig::fill_latency`]).
     ///
     /// # Panics
     ///
     /// Panics on completions for unknown request ids (writes are posted
     /// and produce no completions).
     pub fn on_completion(&mut self, req_id: u64) -> Vec<u64> {
+        self.deliver(req_id, None)
+    }
+
+    /// [`CacheHierarchy::on_completion`] delivered at CPU cycle `now`,
+    /// before any core ticks in that cycle, for callers that defer stall
+    /// retries through [`CacheHierarchy::apply_stall_retries`]. Every
+    /// core whose stall this completion ends — the owner, whose MSHR
+    /// frees, and any core stalled on a block the fills bring into the
+    /// LLC — has its retries booked through `now - 1` first and is
+    /// reported by [`CacheHierarchy::take_unstalled`]. A fill caused by
+    /// an [`CacheHierarchy::access`] of core `c` at `now` books cores
+    /// below `c` through `now` (they retried at `now` before `c` ticked)
+    /// and the rest through `now - 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on completions for unknown request ids.
+    pub fn on_completion_at(&mut self, req_id: u64, now: u64) -> Vec<u64> {
+        self.deliver(req_id, Some(Filler { now, first_after: 0 }))
+    }
+
+    fn deliver(&mut self, req_id: u64, by: Option<Filler>) -> Vec<u64> {
         let (core, block) = self.req_map.remove(&req_id).expect("completion for unknown request");
+        self.end_stall(core, by);
         let entry = self.mshrs[core].remove(&block).expect("MSHR entry must exist");
-        self.stall_memo[core] = StallMemo::NONE;
-        self.fill_llc(block, false);
-        self.fill_l2(core, block);
-        self.fill_l1(core, block, entry.store);
+        self.fill_llc(block, false, by);
+        self.fill_l2(core, block, by);
+        self.fill_l1(core, block, entry.store, by);
         entry.waiters
     }
 
-    /// Batched accounting for `cycles` consecutive retries of an access
-    /// that stalls on full MSHRs: the exact per-cycle side effects of
-    /// [`CacheHierarchy::access`] returning [`Access::Stall`] — an L1, L2
-    /// and LLC miss plus one MSHR-stall count per cycle — without walking
-    /// the lookup path each cycle. An event-driven system loop uses this
-    /// to skip over stalled intervals while keeping every counter (and
-    /// the caches' recency clocks) bit-identical to per-cycle ticking.
+    /// Ends `core`'s standing stall, if any, ahead of an event that may
+    /// lift it: books its deferred retries up to the event's place in tick
+    /// order (nothing for per-cycle callers, `by == None`), clears the
+    /// ledger block and reports the core as unstalled.
+    fn end_stall(&mut self, core: usize, by: Option<Filler>) {
+        let block = self.ledger[core].block;
+        if block == StallLedger::NO_BLOCK {
+            return;
+        }
+        if let Some(by) = by {
+            let through = if core < by.first_after { by.now } else { by.now.saturating_sub(1) };
+            self.book_through(core, block, through);
+        }
+        self.ledger[core].block = StallLedger::NO_BLOCK;
+        if !self.unstalled.contains(&core) {
+            self.unstalled.push(core);
+        }
+    }
+
+    /// Takes the cores whose stall on full MSHRs was ended by something
+    /// other than their own access — an LLC fill of the stalled block or
+    /// their own completion — since the last call, each at most once. A
+    /// system that ticks a stalled core only when its stall can end ticks
+    /// these next.
+    pub fn take_unstalled(&mut self) -> std::vec::Drain<'_, usize> {
+        self.unstalled.drain(..)
+    }
+
+    /// Forgets `core`'s standing stall, for a core that stops retrying
+    /// its stalled access (it finished, or a functional fast-forward
+    /// dropped the access): no retries are booked for it afterwards, and
+    /// its next access walks the full lookup path.
+    pub fn forget_stall(&mut self, core: usize) {
+        self.ledger[core].block = StallLedger::NO_BLOCK;
+    }
+
+    /// Deferred accounting for the retries of an access that stalls on
+    /// full MSHRs: books every retry of cycles up to and including
+    /// `through` that is not booked yet — the exact per-cycle side
+    /// effects of [`CacheHierarchy::access`] returning [`Access::Stall`],
+    /// an L1, L2 and LLC miss plus one MSHR-stall count per cycle, without
+    /// walking the lookup path each cycle. An event-driven system loop
+    /// uses this to skip over stalled intervals while keeping every
+    /// counter (and the caches' recency clocks) bit-identical to
+    /// per-cycle ticking.
     ///
-    /// Only valid while the hierarchy state is unchanged since the access
-    /// last stalled (no fills, no other accesses by this core), which is
-    /// exactly the skipped-interval invariant. The accounting is shared
-    /// with the repeat-stall fast path of [`CacheHierarchy::access`].
-    pub fn apply_stall_retries(&mut self, core: usize, addr: u64, is_write: bool, cycles: u64) {
-        let _ = is_write; // misses count identically for loads and stores
-        self.book_stall_retries(core, self.block_of(addr), cycles);
+    /// The ledger records the last booked cycle per core, so booking is
+    /// idempotent. Retries are booked ahead of any event that ends the
+    /// stall (see [`CacheHierarchy::on_completion_at`]), so the stall
+    /// predicate holds at every booking.
+    pub fn apply_stall_retries(&mut self, core: usize, addr: u64, through: u64) {
+        self.book_through(core, self.block_of(addr), through);
+    }
+
+    /// Books `core`'s unbooked retries on `block` through cycle `through`.
+    fn book_through(&mut self, core: usize, block: u64, through: u64) {
+        let booked = self.ledger[core].booked_through;
+        if through > booked {
+            self.book_stall_retries(core, block, through - booked);
+            self.ledger[core].booked_through = through;
+        }
     }
 
     /// Books `times` retries of `core`'s access to `block` that stall on
@@ -453,7 +548,10 @@ impl CacheHierarchy {
         }
         self.mshr_merges = crate::take(src);
         self.mshr_stalls = crate::take(src);
-        self.stall_memo.fill(StallMemo::NONE);
+        for core in 0..self.ledger.len() {
+            self.forget_stall(core);
+        }
+        self.unstalled.clear();
     }
 
     /// Snapshot of all counters.
@@ -529,7 +627,7 @@ mod tests {
             assert_eq!(a.access(0, addr, false, now), Access::Stall);
         }
         assert_eq!(b.access(0, addr, false, 0), Access::Stall);
-        b.apply_stall_retries(0, addr, false, 5);
+        b.apply_stall_retries(0, addr, 5);
         assert_eq!(a.stats().mshr_stalls, b.stats().mshr_stalls);
         assert_eq!(a.stats().l1[0], b.stats().l1[0]);
         assert_eq!(a.stats().l2[0], b.stats().l2[0]);
@@ -743,6 +841,131 @@ mod tests {
         assert_eq!(a, b, "recency clocks and lines advance identically");
     }
 
+    #[test]
+    fn deferred_booking_equals_per_cycle_retries_including_lru_clocks() {
+        let mut deferred = hierarchy();
+        let mut per_cycle = hierarchy();
+        let _ = stall_core0(&mut deferred);
+        let _ = stall_core0(&mut per_cycle);
+        for now in 3..=20u64 {
+            assert_eq!(per_cycle.access(0, STALLED, false, now), Access::Stall);
+        }
+        // Booking is idempotent: overlapping and repeated targets book
+        // each cycle once.
+        deferred.apply_stall_retries(0, STALLED, 9);
+        deferred.apply_stall_retries(0, STALLED, 5);
+        deferred.apply_stall_retries(0, STALLED, 20);
+        deferred.apply_stall_retries(0, STALLED, 20);
+        assert_eq!(deferred.stats(), per_cycle.stats());
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        deferred.save_state(&mut a);
+        per_cycle.save_state(&mut b);
+        assert_eq!(a, b, "recency clocks and lines advance identically");
+        // The ledger keeps the fast path: the next retry books one more.
+        assert_eq!(deferred.access(0, STALLED, false, 21), Access::Stall);
+        assert_eq!(deferred.stats().mshr_stalls, 21);
+    }
+
+    /// Core `stalled` sits stalled on block 0 since cycle 1 (one MSHR,
+    /// busy with block 3), while core `filler` holds block 0 dirty in its
+    /// L2 and block 4 waits in the LLC: `filler`'s access to block 4 at
+    /// any later cycle pushes block 0 into the LLC as a dirty L2 victim.
+    fn dirty_victim_stall(stalled: usize, filler: usize) -> CacheHierarchy {
+        // Direct-mapped levels: L1 2 sets, L2 4 sets, LLC 8 sets; one MSHR
+        // per core. Block n sits in L1 set n%2, L2 set n%4, LLC set n%8.
+        let cfg = HierarchyConfig {
+            l1: CacheParams { size_bytes: 128, ways: 1, block_bytes: 64, latency: 1 },
+            l2: CacheParams { size_bytes: 256, ways: 1, block_bytes: 64, latency: 2 },
+            llc: CacheParams { size_bytes: 512, ways: 1, block_bytes: 64, latency: 3 },
+            mshrs_per_core: 1,
+            fill_latency: 1,
+        };
+        let mut h = CacheHierarchy::new(cfg, 2);
+        let fetch = |h: &mut CacheHierarchy, core: usize, n: u64, is_write: bool| {
+            let _ = h.access(core, n * 64, is_write, 0);
+            let reqs: Vec<Request> = h.take_outgoing().collect();
+            assert_eq!(reqs.len(), 1);
+            h.on_completion(reqs[0].id);
+        };
+        fetch(&mut h, filler, 0, true);
+        fetch(&mut h, filler, 2, false);
+        fetch(&mut h, stalled, 4, false);
+        fetch(&mut h, stalled, 8, false);
+        assert!(matches!(h.access(stalled, 3 * 64, false, 0), Access::Pending { .. }));
+        let _ = h.take_outgoing().count();
+        assert_eq!(h.access(stalled, 0, false, 1), Access::Stall);
+        h
+    }
+
+    #[test]
+    fn dirty_victim_fill_books_the_stalled_cores_retries_by_tick_order() {
+        // (stalled, filler, cycle the deferred retries are booked through)
+        for (stalled, filler, through) in [(0, 1, 10u64), (1, 0, 9)] {
+            let mut deferred = dirty_victim_stall(stalled, filler);
+            let mut per_cycle = dirty_victim_stall(stalled, filler);
+            for now in 2..=through {
+                assert_eq!(per_cycle.access(stalled, 0, false, now), Access::Stall);
+            }
+            assert!(matches!(per_cycle.access(filler, 4 * 64, false, 10), Access::Hit { .. }));
+            assert!(matches!(deferred.access(filler, 4 * 64, false, 10), Access::Hit { .. }));
+            assert_eq!(deferred.stats(), per_cycle.stats(), "stalled={stalled} filler={filler}");
+            assert_eq!(deferred.stats().mshr_stalls, through);
+            assert_eq!(deferred.take_unstalled().collect::<Vec<_>>(), vec![stalled]);
+            // Everything up to the fill is booked; the stall has ended.
+            deferred.apply_stall_retries(stalled, 0, through);
+            assert_eq!(deferred.stats().mshr_stalls, through);
+            assert!(matches!(deferred.access(stalled, 0, false, 11), Access::Hit { .. }));
+        }
+    }
+
+    #[test]
+    fn completion_fill_books_the_stalled_cores_retries_through_the_previous_cycle() {
+        let mut deferred = hierarchy();
+        let mut per_cycle = hierarchy();
+        for h in [&mut deferred, &mut per_cycle] {
+            let _ = stall_core0(h);
+            let Access::Pending { .. } = h.access(1, STALLED, false, 3) else { panic!() };
+        }
+        let id = deferred.take_outgoing().next().expect("core 1's fill request").id;
+        let _ = per_cycle.take_outgoing().count();
+        for now in 3..10u64 {
+            assert_eq!(per_cycle.access(0, STALLED, false, now), Access::Stall);
+        }
+        per_cycle.on_completion(id);
+        deferred.on_completion_at(id, 10);
+        assert_eq!(deferred.stats(), per_cycle.stats());
+        assert_eq!(deferred.stats().mshr_stalls, 9);
+        assert_eq!(deferred.take_unstalled().collect::<Vec<_>>(), vec![0]);
+        assert!(matches!(deferred.access(0, STALLED, false, 10), Access::Hit { .. }));
+    }
+
+    #[test]
+    fn own_completion_books_the_cores_retries_through_the_previous_cycle() {
+        let mut deferred = hierarchy();
+        let mut per_cycle = hierarchy();
+        let reqs = stall_core0(&mut deferred);
+        let _ = stall_core0(&mut per_cycle);
+        for now in 3..10u64 {
+            assert_eq!(per_cycle.access(0, STALLED, false, now), Access::Stall);
+        }
+        per_cycle.on_completion(reqs[0].id);
+        deferred.on_completion_at(reqs[0].id, 10);
+        assert_eq!(deferred.stats(), per_cycle.stats());
+        assert_eq!(deferred.stats().mshr_stalls, 9);
+        assert_eq!(deferred.take_unstalled().collect::<Vec<_>>(), vec![0]);
+        assert!(matches!(deferred.access(0, STALLED, false, 10), Access::Pending { .. }));
+    }
+
+    #[test]
+    fn a_finished_core_books_no_further_retries() {
+        let mut h = hierarchy();
+        let reqs = stall_core0(&mut h);
+        h.forget_stall(0);
+        h.on_completion_at(reqs[0].id, 50);
+        assert_eq!(h.stats().mshr_stalls, 2);
+        assert_eq!(h.take_unstalled().count(), 0);
+    }
+
     /// Saves and reloads `h`, which clears every repeat-stall memo, so the
     /// next access walks the full lookup path.
     pub(super) fn round_trip(h: &mut CacheHierarchy) {
@@ -774,8 +997,15 @@ mod proptests {
     proptest! {
         /// The repeat-stall fast path is invisible: a hierarchy that takes
         /// it agrees, access by access and counter by counter, with a
-        /// shadow whose memo is cleared (by a snapshot round trip) before
+        /// shadow whose ledger is cleared (by a snapshot round trip) before
         /// every access, so the shadow always walks the full lookup path.
+        ///
+        /// Each op is one cycle, and every core still stalled retries in
+        /// it, as a core does: both hierarchies book those retries the way
+        /// an event-driven caller defers them (through this cycle for the
+        /// cores before the op's core in tick order, through the previous
+        /// one for the rest), so a fill that ends a stall finds them
+        /// booked in the fast hierarchy too.
         #[test]
         fn repeat_stall_fast_path_matches_full_walks(
             ops in proptest::collection::vec((0u8..8, 0u8..3, 0u64..48, any::<bool>()), 1..400)
@@ -784,29 +1014,44 @@ mod proptests {
             let mut fast = small_hierarchy(cores);
             let mut shadow = small_hierarchy(cores);
             let mut last = [0u64; 3];
+            let mut stalled: [Option<u64>; 3] = [None; 3];
             let mut in_flight: Vec<u64> = Vec::new();
-            for (now, (kind, core, x, is_write)) in (0u64..).zip(ops) {
+            for (now, (kind, core, x, is_write)) in (1u64..).zip(ops) {
                 let core = usize::from(core);
+                // A completion lands before any core ticks.
+                let first_after = if kind == 7 { 0 } else { core };
+                for (c, s) in stalled.iter().enumerate() {
+                    if let Some(addr) = *s {
+                        let through = if c < first_after { now } else { now - 1 };
+                        fast.apply_stall_retries(c, addr, through);
+                        shadow.apply_stall_retries(c, addr, through);
+                    }
+                }
                 if kind == 7 {
                     // Complete an outstanding fill, if any.
                     if !in_flight.is_empty() {
                         let id = in_flight.remove(x as usize % in_flight.len());
-                        prop_assert_eq!(fast.on_completion(id), shadow.on_completion(id));
+                        prop_assert_eq!(fast.on_completion_at(id, now), shadow.on_completion(id));
                     }
-                    continue;
+                } else {
+                    // Kinds 0..4 retry the core's last address, so repeat
+                    // stalls are common; the rest pick a fresh block.
+                    let addr = if kind < 4 { last[core] } else { x * 64 };
+                    last[core] = addr;
+                    round_trip(&mut shadow);
+                    let got = fast.access(core, addr, is_write, now);
+                    prop_assert_eq!(got, shadow.access(core, addr, is_write, now));
+                    stalled[core] = (got == Access::Stall).then_some(addr);
+                    let out: Vec<Request> = fast.take_outgoing().collect();
+                    let shadow_out: Vec<Request> = shadow.take_outgoing().collect();
+                    prop_assert_eq!(&out, &shadow_out);
+                    in_flight.extend(out.iter().filter(|r| !r.is_write).map(|r| r.id));
                 }
-                // Kinds 0..4 retry the core's last address, so repeat
-                // stalls are common; the rest pick a fresh block.
-                let addr = if kind < 4 { last[core] } else { x * 64 };
-                last[core] = addr;
-                round_trip(&mut shadow);
-                let got = fast.access(core, addr, is_write, now);
-                prop_assert_eq!(got, shadow.access(core, addr, is_write, now));
                 prop_assert_eq!(fast.stats(), shadow.stats());
-                let out: Vec<Request> = fast.take_outgoing().collect();
-                let shadow_out: Vec<Request> = shadow.take_outgoing().collect();
-                prop_assert_eq!(&out, &shadow_out);
-                in_flight.extend(out.iter().filter(|r| !r.is_write).map(|r| r.id));
+                for c in fast.take_unstalled() {
+                    stalled[c] = None;
+                }
+                shadow.take_unstalled().for_each(drop);
             }
             let (mut a, mut b) = (Vec::new(), Vec::new());
             fast.save_state(&mut a);

@@ -17,7 +17,9 @@
 //!
 //! The sim crate connects [`hierarchy::CacheHierarchy::take_outgoing`] to
 //! the per-channel memory controllers and routes completions back via
-//! [`hierarchy::CacheHierarchy::on_completion`].
+//! [`hierarchy::CacheHierarchy::on_completion_at`]; its event kernel
+//! leaves stalled cores unticked and books their retries through the
+//! hierarchy's per-core stall ledger.
 
 pub mod cache;
 pub mod core;

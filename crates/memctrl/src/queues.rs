@@ -16,8 +16,15 @@
 //! FIFO order" and "oldest arrival, ties broken by queue position" agree
 //! — schedulers rely on this to pick candidates per bank without
 //! re-deriving global order.
+//!
+//! Each bank also memoises a [`BankView`]: its entries summarised against
+//! one open row (oldest hit, read/write-hit flags, first non-hit entry),
+//! which is all the indexed scheduler and horizon scans need from the
+//! bank. A view stays valid until the bank's list changes (push, remove,
+//! `entry_mut`, `load_state`) and is recomputed when asked about another
+//! open row, so a controller event re-walks only the banks it touched.
 
-use figaro_dram::{BankAddr, PhysAddr, RowId};
+use figaro_dram::{BankAddr, Cycle, PhysAddr, RowId};
 
 use crate::request::Request;
 
@@ -41,6 +48,23 @@ pub struct Entry {
     pub saw_act: bool,
     /// A precharge (row conflict) was issued on behalf of this entry.
     pub saw_conflict: bool,
+}
+
+/// One bank's queued entries summarised against an open row (see
+/// [`IndexedQueue::bank_view`]). An entry *hits* when it serves from
+/// `open`; on a closed bank (`open == None`) no entry hits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BankView {
+    /// The open row the summary was computed against.
+    pub open: Option<RowId>,
+    /// The oldest hitting entry as `(arrival, seq, slot id)`.
+    pub oldest_hit: Option<(Cycle, u64, u32)>,
+    /// A read entry hits.
+    pub read_hit: bool,
+    /// A write entry hits.
+    pub write_hit: bool,
+    /// The first entry in FIFO order that does not hit, as `(seq, slot id)`.
+    pub first_miss: Option<(u64, u32)>,
 }
 
 /// Sentinel for "no slot" in the intrusive links.
@@ -67,6 +91,8 @@ pub struct IndexedQueue {
     bank_head: Vec<u32>,
     bank_tail: Vec<u32>,
     bank_count: Vec<u32>,
+    /// Memoised per-bank views; `None` once the bank's list changed.
+    views: Vec<Option<BankView>>,
     len: usize,
     next_seq: u64,
 }
@@ -84,6 +110,7 @@ impl IndexedQueue {
             bank_head: vec![NIL; banks],
             bank_tail: vec![NIL; banks],
             bank_count: vec![0; banks],
+            views: vec![None; banks],
             len: 0,
             next_seq: 0,
         }
@@ -146,6 +173,7 @@ impl IndexedQueue {
         }
         self.bank_tail[b] = id;
         self.bank_count[b] += 1;
+        self.views[b] = None;
         self.len += 1;
         id
     }
@@ -179,6 +207,7 @@ impl IndexedQueue {
             self.slot_mut(slot.bank_next).bank_prev = slot.bank_prev;
         }
         self.bank_count[b] -= 1;
+        self.views[b] = None;
         self.len -= 1;
         self.free.push(id);
         slot.entry
@@ -208,6 +237,8 @@ impl IndexedQueue {
     ///
     /// Panics if `id` does not name a live slot.
     pub fn entry_mut(&mut self, id: u32) -> &mut Entry {
+        let b = self.slot(id).entry.flat_bank as usize;
+        self.views[b] = None;
         &mut self.slot_mut(id).entry
     }
 
@@ -240,6 +271,44 @@ impl IndexedQueue {
     /// Flat indices of the banks that currently have queued entries.
     pub fn touched_banks(&self) -> impl Iterator<Item = u32> + '_ {
         (0..self.bank_count.len() as u32).filter(|&b| self.bank_count[b as usize] > 0)
+    }
+
+    /// `flat_bank`'s entries summarised against the open row `open` —
+    /// memoised, so repeated calls cost O(1) until the bank's list changes
+    /// or another open row is asked about.
+    pub fn bank_view(&mut self, flat_bank: u32, open: Option<RowId>) -> BankView {
+        let b = flat_bank as usize;
+        if let Some(v) = self.views[b].filter(|v| v.open == open) {
+            return v;
+        }
+        let mut v = BankView {
+            open,
+            oldest_hit: None,
+            read_hit: false,
+            write_hit: false,
+            first_miss: None,
+        };
+        let mut cur = self.bank_head[b];
+        while cur != NIL {
+            let slot = self.slot(cur);
+            let e = &slot.entry;
+            if open == Some(e.serve_row) {
+                let key = (e.req.arrival, slot.seq);
+                if v.oldest_hit.is_none_or(|(a, s, _)| key < (a, s)) {
+                    v.oldest_hit = Some((key.0, key.1, cur));
+                }
+                if e.req.is_write {
+                    v.write_hit = true;
+                } else {
+                    v.read_hit = true;
+                }
+            } else if v.first_miss.is_none() {
+                v.first_miss = Some((slot.seq, cur));
+            }
+            cur = slot.bank_next;
+        }
+        self.views[b] = Some(v);
+        v
     }
 
     /// Whether any queued entry matches `addr` at cache-block granularity
@@ -364,6 +433,7 @@ impl IndexedQueue {
         }
         self.len = crate::take(src) as usize;
         self.next_seq = crate::take(src);
+        self.views.fill(None);
     }
 }
 

@@ -12,11 +12,15 @@
 //!
 //! Each selection exists in two strategies:
 //!
-//! * **indexed** (default): walk only the banks that have queued
-//!   entries, probing DRAM timing once per bank and command class;
+//! * **indexed** (default): visit only the banks that have queued
+//!   entries, probing DRAM timing once per bank and command class and
+//!   reading each bank's entries through its memoised
+//!   [`crate::queues::BankView`] (re-walked only after the bank's list or
+//!   open row changed); pinned closed banks still walk their entries;
 //! * **flat** ([`crate::McConfig::flat_scan`]): the pre-refactor global
 //!   queue scans, kept as the honest wall-clock baseline for the
-//!   `sched_sweep` bench. Both strategies pick the identical command.
+//!   `sched_sweep` bench and as the oracle of the view memo. Both
+//!   strategies pick the identical command.
 //!
 //! The policy in force is chosen by [`crate::McConfig::sched`]; the
 //! `FIGARO_SCHED` environment variable overrides the default at system
@@ -314,7 +318,8 @@ fn bank_has_conflict(q: &IndexedQueue, flat_bank: u32, open: figaro_dram::RowId)
 /// (ties by queue position); hooks restrict the candidate set.
 pub(crate) fn pick_column(
     policy: &dyn SchedPolicy,
-    q: &IndexedQueue,
+    q: &mut IndexedQueue,
+    banks: &[BankState],
     chan: &DramChannel,
     now: Cycle,
     flat_scan: bool,
@@ -355,30 +360,22 @@ pub(crate) fn pick_column(
             }
         }
     } else {
-        // Indexed: one timing probe per bank, entries via the bank list.
-        for b in q.touched_banks() {
-            let (_, first) = q.iter_bank(b).next().expect("touched bank has entries");
-            let Some(open) = chan.open_row(first.bank) else { continue };
-            if chan.must_precharge(first.bank) {
+        // Indexed: one timing probe per bank, its oldest hit from the
+        // bank's memoised view.
+        for (b, st) in (0u32..).zip(banks) {
+            if q.bank_len(b) == 0 {
                 continue;
             }
-            let mut hit: Option<(Cycle, u64, u32)> = None;
-            let mut has_conflict = false;
-            for (id, e) in q.iter_bank(b) {
-                if e.serve_row == open {
-                    let key = (e.req.arrival, q.seq(id));
-                    if hit.is_none_or(|(a, s, _)| key < (a, s)) {
-                        hit = Some((key.0, key.1, id));
-                    }
-                } else {
-                    has_conflict = true;
-                }
-            }
-            let Some((arrival, seq, id)) = hit else { continue };
-            if !policy.allow_row_hit(b, has_conflict) {
+            let Some(open) = chan.open_row(st.addr) else { continue };
+            if chan.must_precharge(st.addr) {
                 continue;
             }
-            if chan.can_issue(first.bank, &column_cmd(q.entry(id)), now) {
+            let view = q.bank_view(b, Some(open));
+            let Some((arrival, seq, id)) = view.oldest_hit else { continue };
+            if !policy.allow_row_hit(b, view.first_miss.is_some()) {
+                continue;
+            }
+            if chan.can_issue(st.addr, &column_cmd(q.entry(id)), now) {
                 consider(arrival, seq, id);
             }
         }
@@ -391,7 +388,7 @@ pub(crate) fn pick_column(
 /// same-row hits keep a row open unless the policy says otherwise).
 pub(crate) fn pick_prep(
     policy: &dyn SchedPolicy,
-    q: &IndexedQueue,
+    q: &mut IndexedQueue,
     banks: &[BankState],
     chan: &DramChannel,
     now: Cycle,
@@ -412,48 +409,43 @@ pub(crate) fn pick_prep(
             best = Some((seq, act));
         }
     };
-    for b in q.touched_banks() {
-        let st = &banks[b as usize];
+    for (b, st) in (0u32..).zip(banks) {
+        if q.bank_len(b) == 0 {
+            continue;
+        }
         let pinned = chan.is_pinned(st.addr);
         if st.job.is_some() && !pinned {
             continue; // the bank belongs to a job still setting up
         }
-        match chan.open_row(st.addr) {
-            Some(open) => {
-                let mut has_hit = false;
-                let mut first_conflict: Option<(u64, u32)> = None;
-                for (id, e) in q.iter_bank(b) {
-                    if e.serve_row == open {
-                        has_hit = true;
-                    } else if first_conflict.is_none() {
-                        first_conflict = Some((q.seq(id), id));
-                    }
-                    if has_hit && first_conflict.is_some() {
-                        break;
-                    }
-                }
-                let Some((seq, id)) = first_conflict else { continue };
-                if has_hit && policy.hits_suppress_prep(b, true) {
-                    continue;
-                }
-                if chan.can_issue(st.addr, &DramCommand::Precharge, now) {
-                    consider(seq, PrepAction::Pre(id));
+        let open = chan.open_row(st.addr);
+        if open.is_none() && pinned {
+            // A pinned bank's ACT legality is per-subarray, so walk its
+            // entries for the oldest one that can activate.
+            for (id, e) in q.iter_bank(b) {
+                let act = DramCommand::Activate { row: e.serve_row };
+                if chan.can_issue(st.addr, &act, now) {
+                    consider(q.seq(id), PrepAction::Act(id));
+                    break;
                 }
             }
-            None => {
-                // ACT timing is row-independent on an unpinned bank, so
-                // only the oldest entry need be probed; a pinned bank's
-                // legality is per-subarray, so walk its entries.
-                for (id, e) in q.iter_bank(b) {
-                    let act = DramCommand::Activate { row: e.serve_row };
-                    if chan.can_issue(st.addr, &act, now) {
-                        consider(q.seq(id), PrepAction::Act(id));
-                        break;
-                    }
-                    if !pinned {
-                        break;
-                    }
-                }
+            continue;
+        }
+        // Open bank: the oldest conflicting entry precharges unless a hit
+        // keeps the row open. Closed, unpinned bank: ACT timing is
+        // row-independent, so only the oldest entry need be probed.
+        let view = q.bank_view(b, open);
+        let Some((seq, id)) = view.first_miss else { continue };
+        if open.is_some() {
+            if view.oldest_hit.is_some() && policy.hits_suppress_prep(b, true) {
+                continue;
+            }
+            if chan.can_issue(st.addr, &DramCommand::Precharge, now) {
+                consider(seq, PrepAction::Pre(id));
+            }
+        } else {
+            let act = DramCommand::Activate { row: q.entry(id).serve_row };
+            if chan.can_issue(st.addr, &act, now) {
+                consider(seq, PrepAction::Act(id));
             }
         }
     }
@@ -536,7 +528,7 @@ fn pick_prep_flat(
 /// too-early horizon only costs a no-op tick.
 pub(crate) fn queue_horizon(
     policy: &dyn SchedPolicy,
-    q: &IndexedQueue,
+    q: &mut IndexedQueue,
     banks: &mut [BankState],
     agg_touched: &mut Vec<u32>,
     chan: &DramChannel,
@@ -550,8 +542,8 @@ pub(crate) fn queue_horizon(
         return in_order_horizon(q, banks, chan, from);
     }
     // Aggregate the queue per bank (flat: one global pass into the
-    // BankState scratch; indexed: per-bank list walks), then probe each
-    // touched bank once per command class.
+    // BankState scratch; indexed: the banks' memoised views), then probe
+    // each touched bank once per command class.
     let mut best = Cycle::MAX;
     if flat_scan {
         for &b in agg_touched.iter() {
@@ -575,14 +567,20 @@ pub(crate) fn queue_horizon(
             best = best.min(bank_horizon(policy, q, banks, b, &agg, chan, from));
         }
     } else {
-        for b in q.touched_banks() {
-            let mut agg = BankAgg::default();
-            let (_, first) = q.iter_bank(b).next().expect("touched bank has entries");
-            agg.seen = true;
-            agg.open = chan.open_row(first.bank);
-            for (_, e) in q.iter_bank(b) {
-                fold_entry(&mut agg, e);
+        for b in 0..banks.len() as u32 {
+            if q.bank_len(b) == 0 {
+                continue;
             }
+            let open = chan.open_row(banks[b as usize].addr);
+            let view = q.bank_view(b, open);
+            let agg = BankAgg {
+                seen: true,
+                open,
+                has_hit: view.oldest_hit.is_some(),
+                read_hit: view.read_hit,
+                write_hit: view.write_hit,
+                prep_row: view.first_miss.map(|(_, id)| q.entry(id).serve_row),
+            };
             best = best.min(bank_horizon(policy, q, banks, b, &agg, chan, from));
         }
     }

@@ -16,6 +16,13 @@
 //! The invariant that makes this sound: between two executed steps no
 //! component state changes except the batched counters, and every
 //! component horizon is a lower bound on its next state change.
+//!
+//! The event kernel also ticks only the cores that are *due* at an
+//! executed cycle: at their own horizon, when a load of theirs is woken,
+//! or when the hierarchy reports that their stall on full MSHRs ended.
+//! Every other core stays lazy and is caught up with
+//! [`TraceCore::skip_cycles`] right before its next tick, before each
+//! telemetry sample and at span end.
 
 use figaro_cpu::{CacheHierarchy, TraceCore};
 use figaro_dram::AddressMapping;
@@ -48,6 +55,13 @@ pub struct System {
     /// checks then use mask/shift instead of a runtime div (hot path).
     bus_shift: Option<u32>,
     pub(crate) cpu_cycle: u64,
+    /// Event kernel: the cycle at which each core must next be ticked.
+    /// Every completion marks its core due (the other kernels tick every
+    /// core anyway).
+    due: Vec<u64>,
+    /// Event kernel: each core has executed (ticked or skipped) every
+    /// cycle before this one.
+    synced: Vec<u64>,
     /// Optional observability state (interval sampler + trace lanes).
     /// `None` on the default path: the kernels pay one `Option`
     /// discriminant test per executed cycle, nothing more, and the
@@ -141,6 +155,8 @@ impl System {
             completion_buf: Vec::new(),
             bus_shift,
             cpu_cycle: 0,
+            due: vec![0; targets.len()],
+            synced: vec![0; targets.len()],
             telemetry: None,
             profiler: None,
         };
@@ -228,12 +244,14 @@ impl System {
                 continue;
             }
             self.shards[ch].mc.drain_completions_into(&mut self.completion_buf);
+            let now = bus * per_bus;
             for i in 0..self.completion_buf.len() {
                 let c = self.completion_buf[i];
                 let ready_cpu = c.done_at * per_bus + fill_latency;
-                for token in self.hierarchy.on_completion(c.id) {
+                for token in self.hierarchy.on_completion_at(c.id, now) {
                     self.cores[c.core as usize].wake(token, ready_cpu);
                 }
+                self.due[c.core as usize] = now;
             }
             self.completion_buf.clear();
         }
@@ -387,6 +405,14 @@ impl System {
     /// `run_event` is `run_event_span` + `collect`, and the sampled
     /// kernel's detailed windows reuse the span directly so each window
     /// is the exact event-kernel cycle sequence.
+    ///
+    /// An executed cycle ticks only the due cores, in core order, exactly
+    /// as the reference step does after the bus half. A core that is not
+    /// due would only repeat batchable work (see
+    /// [`TraceCore::next_event_at`]) until an external event: a wake
+    /// (marked due by `step_bus`) or the end of its stall on full MSHRs
+    /// (reported by [`CacheHierarchy::take_unstalled`], which has booked
+    /// its deferred stall retries up to that point in tick order).
     fn run_event_span(&mut self, max_cpu_cycles: u64) {
         let per_bus = self.cfg.cpu_cycles_per_bus;
         let fill_latency = u64::from(self.cfg.hierarchy.fill_latency);
@@ -396,30 +422,56 @@ impl System {
         // Wakes for its still-in-flight loads go through `wake`, not tick.
         let mut live: Vec<usize> =
             (0..self.cores.len()).filter(|&i| !self.cores[i].finished()).collect();
+        // Every core is due at the span's first cycle, which re-establishes
+        // each stalled core's ledger entry in the hierarchy.
+        self.due.fill(self.cpu_cycle);
+        self.synced.fill(self.cpu_cycle);
+        self.hierarchy.take_unstalled().for_each(drop);
         while !live.is_empty() && self.cpu_cycle < max_cpu_cycles {
             let now = self.cpu_cycle;
-            self.maybe_sample(now);
+            if now >= self.telemetry_next_sample() {
+                self.catch_up_cores(&live, now);
+                self.maybe_sample(now);
+            }
             if let Some(bus) = self.bus_boundary(now, per_bus) {
                 self.step_bus(bus, per_bus, fill_latency, true);
+                for c in self.hierarchy.take_unstalled() {
+                    self.due[c] = now;
+                }
             }
             if let Some(p) = &mut self.profiler {
                 p.clock.lap(PROF_MEMORY);
             }
-            // One fused pass over the live cores: tick each (exactly as
-            // the reference step does, after the bus half), then read its
-            // post-tick state to seed the horizon and the exit check.
+            // One pass over the live cores in core order: tick the due
+            // ones, then fold every horizon into the next executed cycle.
             let mut next = max_cpu_cycles;
-            live.retain(|&i| {
-                let core = &mut self.cores[i];
-                core.tick(now, &mut self.hierarchy);
-                if core.finished() {
-                    return false;
+            let mut k = 0;
+            while k < live.len() {
+                let i = live[k];
+                if self.due[i] <= now {
+                    self.catch_up(i, now);
+                    self.cores[i].tick(now, &mut self.hierarchy);
+                    self.synced[i] = now + 1;
+                    if self.cores[i].finished() {
+                        live.remove(k);
+                        continue;
+                    }
+                    self.due[i] = self.cores[i].next_event_at(now).unwrap_or(u64::MAX);
+                    // A fill by this tick ended other cores' stalls: later
+                    // cores see it in this cycle (this pass reaches them),
+                    // earlier ones in the next.
+                    for c in self.hierarchy.take_unstalled() {
+                        if c > i {
+                            self.due[c] = now;
+                        } else {
+                            self.due[c] = self.due[c].min(now + 1);
+                            next = next.min(now + 1);
+                        }
+                    }
                 }
-                if let Some(t) = core.next_event_at(now) {
-                    next = next.min(t);
-                }
-                true
-            });
+                next = next.min(self.due[i]);
+                k += 1;
+            }
             if let Some(p) = &mut self.profiler {
                 p.clock.lap(PROF_CORES);
             }
@@ -427,7 +479,7 @@ impl System {
             if live.is_empty() {
                 break; // the reference loop's exact exit cycle
             }
-            // An active core ticks next cycle; nothing can be earlier.
+            // A core ticks next cycle; nothing can be earlier.
             if next <= now + 1 {
                 continue;
             }
@@ -436,14 +488,28 @@ impl System {
             // extra executed cycle below the horizon is a no-op by the
             // skip contract, so the clamp keeps results bit-identical
             // while making every kernel sample at exactly k·interval.
-            let next = next.min(self.telemetry_next_sample());
-            let skip = next - self.cpu_cycle;
-            if skip > 0 {
-                for &i in &live {
-                    self.cores[i].skip_cycles(now, skip, &mut self.hierarchy);
-                }
-                self.cpu_cycle = next;
-            }
+            self.cpu_cycle = next.min(self.telemetry_next_sample());
+        }
+        self.catch_up_cores(&live, self.cpu_cycle);
+    }
+
+    /// Applies the cycles core `i` skipped before `to` (all batchable by
+    /// its due-cycle contract). A wake delivered since its last tick only
+    /// stamps a window entry with a ready time at or after the current
+    /// cycle, so skipping after the wake books what skipping before it
+    /// would have.
+    fn catch_up(&mut self, i: usize, to: u64) {
+        let from = self.synced[i];
+        if to > from {
+            // `from > 0` here: every core ticks at its span's first cycle.
+            self.cores[i].skip_cycles(from - 1, to - from, &mut self.hierarchy);
+            self.synced[i] = to;
+        }
+    }
+
+    fn catch_up_cores(&mut self, live: &[usize], to: u64) {
+        for &i in live {
+            self.catch_up(i, to);
         }
     }
 
@@ -511,6 +577,8 @@ impl System {
                 let est = (u128::from(window_retired[i]) * u128::from(jump)
                     / u128::from(ran.max(1))) as u64;
                 core.fast_forward(est, now);
+                // The jump retries no stalled access.
+                self.hierarchy.forget_stall(i);
             }
             // The memory side really simulates through the jump (cores
             // are frozen, so this is just queued work draining plus

@@ -82,3 +82,121 @@ fn saturated_eight_core_one_channel_kernels_agree() {
     assert_eq!(reference, run(Kernel::Event), "event kernel diverged");
     assert_eq!(reference, run(Kernel::Parallel), "parallel kernel diverged");
 }
+
+/// Eight cores on two channels running four streams twice each (core `i`
+/// and core `i + 4` replay the same trace), so every block is shared:
+/// one core's fill regularly lands on a block another core sits stalled
+/// on, the path where the event kernel books a lazy core's deferred stall
+/// retries and ticks it again.
+fn shared_footprint_system(kernel: Kernel) -> System {
+    let profiles = app_profiles();
+    let app = |name: &str| *profiles.iter().find(|p| p.name == name).expect("profile");
+    let apps = [app("lbm"), app("mcf")];
+    let traces: Vec<Trace> =
+        (0..8u64).map(|i| generate_trace(&apps[(i % 2) as usize], 6_000, 29 + i % 4)).collect();
+    let cfg = SystemConfig { kernel, ..SystemConfig::paper(8, ConfigKind::Base) }
+        .with_channels(2)
+        .with_threads(2);
+    System::new(cfg, traces, &[8_000; 8])
+}
+
+#[test]
+fn shared_footprint_eight_core_kernels_agree() {
+    let reference = shared_footprint_system(Kernel::Reference).run(8_000 * 400);
+    assert!(reference.instructions.iter().all(|&i| i == 8_000));
+    assert!(reference.hierarchy.mshr_stalls > 0, "MSHRs never filled");
+    assert!(reference.hierarchy.llc.hits > 0, "no block was shared through the LLC");
+    assert_eq!(reference, shared_footprint_system(Kernel::Event).run(8_000 * 400));
+    assert_eq!(reference, shared_footprint_system(Kernel::Parallel).run(8_000 * 400));
+}
+
+/// Telemetry samples every 97 cycles force the event kernel to catch its
+/// lazy cores up mid-span far more often than it ticks them: the interval
+/// series and the Chrome trace must still match the other kernels' byte
+/// for byte, and the run must match an unsampled one.
+#[test]
+fn small_interval_telemetry_is_identical_across_kernels() {
+    use figaro_telemetry::{parse_trace_spec, TelemetryConfig};
+    let plain = shared_footprint_system(Kernel::Reference).run(8_000 * 400);
+    let mut outputs = Vec::new();
+    for (tag, kernel) in
+        [("reference", Kernel::Reference), ("event", Kernel::Event), ("parallel", Kernel::Parallel)]
+    {
+        let mut sys = shared_footprint_system(kernel);
+        sys.set_telemetry(&TelemetryConfig { interval: Some(97), trace: None });
+        assert_eq!(sys.run(8_000 * 400), plain, "sampling perturbed RunStats under {tag}");
+        let csv = sys.telemetry_series().expect("interval series").to_csv();
+        // A trace sink consumes the series, so the trace is a second run.
+        let path = std::env::temp_dir()
+            .join(format!("figaro-kernel-eq-{}-{tag}.json", std::process::id()));
+        let mut sys = shared_footprint_system(kernel);
+        sys.set_telemetry(&TelemetryConfig {
+            interval: Some(97),
+            trace: Some(parse_trace_spec(&path.display().to_string())),
+        });
+        assert_eq!(sys.run(8_000 * 400), plain, "tracing perturbed RunStats under {tag}");
+        drop(sys);
+        let trace = std::fs::read(&path).expect("trace file");
+        let _ = std::fs::remove_file(&path);
+        outputs.push((tag, csv, trace));
+    }
+    let (base_tag, base_csv, base_trace) = &outputs[0];
+    assert!(base_csv.lines().count() > 100, "too few samples to mean much");
+    assert!(!base_trace.is_empty());
+    for (tag, csv, trace) in &outputs[1..] {
+        assert_eq!(csv, base_csv, "series diverged: {tag} vs {base_tag}");
+        assert_eq!(trace, base_trace, "trace bytes diverged: {tag} vs {base_tag}");
+    }
+}
+
+/// Three cores with direct-mapped 2/4/8-set caches, one MSHR each, and
+/// random loads and stores over a shared 24-block footprint. Dirty L1/L2
+/// victims keep landing in the LLC on blocks another core is stalled on,
+/// so the event kernel must book that core's deferred retries by tick
+/// order and tick it in the same cycle (a later core) or the next one.
+#[test]
+fn tiny_shared_hierarchy_kernels_agree() {
+    use figaro_cpu::{CacheParams, HierarchyConfig};
+    use figaro_workloads::TraceOp;
+    for seed in 1..=4u64 {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let traces: Vec<Trace> = (0..3)
+            .map(|_| Trace {
+                name: "shared".into(),
+                ops: (0..500)
+                    .map(|_| {
+                        let r = next();
+                        let block = (r >> 8) % 24 * 8191 % (1 << 14);
+                        TraceOp {
+                            nonmem: (r % 3) as u32,
+                            addr: block * 64,
+                            is_write: r >> 40 & 1 == 1,
+                        }
+                    })
+                    .collect(),
+            })
+            .collect();
+        let run = |kernel: Kernel| {
+            let mut cfg = SystemConfig { kernel, ..SystemConfig::paper(3, ConfigKind::Base) }
+                .with_channels(1);
+            cfg.hierarchy = HierarchyConfig {
+                l1: CacheParams { size_bytes: 128, ways: 1, block_bytes: 64, latency: 1 },
+                l2: CacheParams { size_bytes: 256, ways: 1, block_bytes: 64, latency: 2 },
+                llc: CacheParams { size_bytes: 512, ways: 1, block_bytes: 64, latency: 3 },
+                mshrs_per_core: 1,
+                fill_latency: 1,
+            };
+            System::new(cfg, traces.clone(), &[4_000; 3]).run(4_000 * 1_000)
+        };
+        let reference = run(Kernel::Reference);
+        assert!(reference.instructions.iter().all(|&i| i == 4_000), "seed {seed}");
+        assert!(reference.hierarchy.mshr_stalls > 0, "seed {seed}: MSHRs never filled");
+        assert_eq!(reference, run(Kernel::Event), "seed {seed}: event kernel diverged");
+    }
+}
