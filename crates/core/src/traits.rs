@@ -100,8 +100,8 @@ impl CacheStats {
 /// no active relocation job (the engine hands out pending jobs in FIFO
 /// order; jobs are self-contained command generators). Job completion is
 /// reported back through [`CacheEngine::on_job_complete`].
-/// (`Send` so a whole `MemoryController` — which boxes its engine — can
-/// move to a worker thread of the sharded parallel kernel.)
+/// (`Send` keeps a `MemoryController` — which boxes its engine — and
+/// with it a whole system movable between threads.)
 pub trait CacheEngine: std::fmt::Debug + Send {
     /// Looks up a demand request to (`bank`, `row`, `col`) and decides
     /// where to serve it; updates tag-store state (benefit counters,

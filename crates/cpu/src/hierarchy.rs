@@ -297,7 +297,10 @@ impl CacheHierarchy {
     /// A fill returned from memory, for callers that retry every stalled
     /// access each cycle (so no stall retry is ever deferred): installs
     /// the block in LLC/L2/L1 and returns the load tokens to wake (the
-    /// core adds [`HierarchyConfig::fill_latency`]).
+    /// core adds [`HierarchyConfig::fill_latency`]). The simulation
+    /// kernels use [`CacheHierarchy::on_completion_at`]; this form serves
+    /// the unit tests and the benchmark's cache-layer probe
+    /// (`simbench/src/layers.rs`).
     ///
     /// # Panics
     ///

@@ -5,8 +5,8 @@
 //! per-source bounds with `unwrap_or(Cycle::MAX)` silently treats "this
 //! source has no pending event" as "this source never constrains the
 //! horizon". When a whole category is empty (e.g. refresh disabled) the
-//! horizon jumps to infinity and the parallel kernel commits events it
-//! should have held, diverging from the serial kernels.
+//! horizon jumps to infinity and the event kernel skips events it
+//! should have executed, diverging from the reference kernel.
 //!
 //! The rule scans functions whose name contains `horizon` or starts
 //! with `next_` / `earliest_` inside the crates listed under `[horizon]

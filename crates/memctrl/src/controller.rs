@@ -10,7 +10,6 @@
 use figaro_core::{CacheEngine, CacheStats, RowHammerMonitor};
 use figaro_dram::{
     AddressMapping, BankAddr, Cycle, DramChannel, DramCommand, DramConfig, DramStats, MapKind,
-    Region,
 };
 
 use crate::bank::BankState;
@@ -832,112 +831,6 @@ impl MemoryController {
             }
         }
         Cycle::MAX
-    }
-
-    /// A sound lower bound on the earliest bus cycle `>= from` at which
-    /// this controller could **produce a read completion** — the only
-    /// events a memory controller ever surfaces to the rest of the
-    /// system (write serving, refresh and relocation steps are all
-    /// channel-internal). The sharded parallel kernel uses this as its
-    /// cross-shard lookahead window: every shard may be advanced
-    /// privately up to the minimum of these bounds without any shard
-    /// producing an externally visible event early.
-    ///
-    /// Soundness leans on register monotonicity: `DramChannel` timing
-    /// registers (`next_rd`, `next_act`, rank/FAW constraints, …) only
-    /// ever move forward when commands issue, so a `next_ready` probe
-    /// against the *current* state lower-bounds every future issue of
-    /// that command class on the bank. Per bank with queued reads:
-    ///
-    /// * an entry whose serve row is open (row hit): any read CAS obeys
-    ///   `next_ready(Read)`;
-    /// * otherwise the row must first be brought under the sense amps —
-    ///   via PRE→ACT→CAS (bounded by `next_ready(Precharge)` plus the
-    ///   *minimum-region* tRP and tRCD), via a fresh ACT on a closed
-    ///   bank (bounded by `next_ready(Activate)` + min tRCD), or via a
-    ///   relocation train whose merge re-activates a destination row
-    ///   without a precharge (bounded by the first RELOC at `>= from`
-    ///   plus the RELOC→merge-ready delay and the merge settle time,
-    ///   which is a region tRCD);
-    /// * a bank mid-relocation (active job or pinned subarray) falls
-    ///   back to `from` + min tRCD — any serve of a not-yet-open row
-    ///   still needs an ACT or merge at `>= from` and a tRCD-class
-    ///   settle before its CAS.
-    ///
-    /// The caller must separately account for *backlogged* reads it has
-    /// not enqueued yet: read-around-write forwarding completes one bus
-    /// cycle after `enqueue`, so a read accepted mid-window could
-    /// complete almost immediately (see the shard's bound in
-    /// `figaro-sim`). Returns [`Cycle::MAX`] when no read is queued and
-    /// no completion is pending.
-    #[must_use]
-    pub fn read_completion_horizon(&self, from: Cycle) -> Cycle {
-        if !self.completions.is_empty() {
-            return from;
-        }
-        if self.read_q.is_empty() {
-            return Cycle::MAX;
-        }
-        let t = &self.channel.config().timing;
-        let min_rcd = Cycle::from(t.rcd_of(Region::Fast).min(t.rcd_of(Region::Slow)));
-        let min_rp = Cycle::from(t.rp_of(Region::Fast).min(t.rp_of(Region::Slow)));
-        let min_reloc = Cycle::from(t.reloc.min(t.reloc_to_reloc));
-        let mut best = Cycle::MAX;
-        for flat in self.read_q.touched_banks() {
-            let st = &self.banks[flat as usize];
-            let bank = st.addr;
-            let relocating = st.job.is_some() || self.channel.is_pinned(bank);
-            let open = self.channel.open_row(bank);
-            let must_pre = self.channel.must_precharge(bank);
-            let (mut hit, mut miss) = (false, false);
-            let mut any_row = 0;
-            for (_, e) in self.read_q.iter_bank(flat) {
-                if !must_pre && open == Some(e.serve_row) {
-                    hit = true;
-                } else {
-                    miss = true;
-                    any_row = e.serve_row;
-                }
-            }
-            if hit {
-                // `next_ready(Read)` is column-independent, so one probe
-                // covers every hit entry on the bank. A `None` (command
-                // momentarily illegal) degrades to `from`.
-                let cand = self
-                    .channel
-                    .next_ready(bank, &DramCommand::Read { col: 0, auto_pre: false }, from)
-                    .unwrap_or(from);
-                best = best.min(cand);
-            }
-            if miss {
-                let cand = if relocating {
-                    from + min_rcd
-                } else if open.is_some() || must_pre {
-                    let pre_path = self
-                        .channel
-                        .next_ready(bank, &DramCommand::Precharge, from)
-                        .map_or(from, |p| p + min_rp + min_rcd);
-                    // A write accepted mid-window can schedule a job on
-                    // the open row whose merge re-activates a serve row
-                    // with no precharge in between.
-                    let merge_path = from + min_reloc + min_rcd;
-                    pre_path.min(merge_path)
-                } else {
-                    // Closed, unpinned: every serve path (demand ACT or
-                    // a job's ensure-open ACT followed by its train)
-                    // starts with an activate, whose bound is
-                    // row-independent without a pinned subarray.
-                    self.channel
-                        .next_ready(bank, &DramCommand::Activate { row: any_row }, from)
-                        .map_or(from, |a| a + min_rcd)
-                };
-                best = best.min(cand);
-            }
-            if best <= from {
-                return from;
-            }
-        }
-        best
     }
 
     fn progress_refresh(&mut self, now: Cycle) {

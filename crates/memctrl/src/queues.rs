@@ -268,11 +268,6 @@ impl IndexedQueue {
         QueueIter { q: self, cur: self.bank_head[flat_bank as usize], bank: true }
     }
 
-    /// Flat indices of the banks that currently have queued entries.
-    pub fn touched_banks(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.bank_count.len() as u32).filter(|&b| self.bank_count[b as usize] > 0)
-    }
-
     /// `flat_bank`'s entries summarised against the open row `open` —
     /// memoised, so repeated calls cost O(1) until the bank's list changes
     /// or another open row is asked about.
@@ -486,7 +481,6 @@ mod tests {
         assert_eq!(bank0, vec![0, 2, 4]);
         assert_eq!(q.bank_len(0), 3);
         assert_eq!(q.bank_len(3), 0);
-        assert_eq!(q.touched_banks().collect::<Vec<_>>(), vec![0, 1, 2]);
     }
 
     #[test]

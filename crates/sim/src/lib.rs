@@ -23,6 +23,13 @@
 //! Clock domains follow Table 1: cores at 3.2 GHz, DDR4-1600 bus at
 //! 800 MHz (one controller tick per four CPU cycles).
 //!
+//! [`System::run`] is driven by one of two exact kernels with
+//! bit-identical [`RunStats`] — [`Kernel::Event`] (next-event time
+//! skipping, the default) and [`Kernel::Reference`] (the per-cycle
+//! oracle) — or by the approximate [`Kernel::Sampled`]. Each run is one
+//! single-threaded event loop; independent runs parallelize through the
+//! [`Runner`] batch API.
+//!
 //! ## Example
 //!
 //! ```
@@ -50,7 +57,6 @@ pub(crate) fn take(src: &mut &[u64]) -> u64 {
 pub mod config;
 pub mod experiments;
 pub mod metrics;
-pub(crate) mod parallel;
 pub mod report;
 pub mod runner;
 pub mod snapshot;

@@ -15,11 +15,13 @@
 //! key (so duplicate jobs in one batch compute once), and files are
 //! published with a write-temp-then-rename so concurrent *processes*
 //! never observe torn files.
+//!
+//! Batches are the only parallelism in the workspace: each run is one
+//! single-threaded event loop, so a batch on N workers uses N threads.
 
 use std::collections::HashMap;
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use rayon::prelude::*;
@@ -730,10 +732,7 @@ impl Runner {
     /// outright.
     fn kernel_suffix(&self) -> String {
         match self.kernel {
-            // The parallel kernel is bit-identical to the event kernel,
-            // so the two share the canonical cache keys — a result
-            // computed by either is valid for both.
-            Kernel::Event | Kernel::Parallel => String::new(),
+            Kernel::Event => String::new(),
             Kernel::Reference => "-refkernel".to_string(),
             // Sampled results depend on the window/skip geometry, so
             // each geometry keys separately.
@@ -855,22 +854,11 @@ impl Runner {
 
     /// A [`SystemConfig::paper`] system with this runner's kernel,
     /// scheduling policy, address mapping and page placement.
-    ///
-    /// While a batch/matrix fan-out is in flight, the parallel kernel's
-    /// intra-run worker threads are capped at 1: the batch already
-    /// saturates the machine with independent runs, and `runs × shards`
-    /// threads would only oversubscribe it. Thread count never affects
-    /// simulated results, so the cap is invisible in every `RunSummary`.
     fn system_config(&self, cores: usize, kind: ConfigKind) -> SystemConfig {
-        let cfg = SystemConfig { kernel: self.kernel, ..SystemConfig::paper(cores, kind) }
+        SystemConfig { kernel: self.kernel, ..SystemConfig::paper(cores, kind) }
             .with_sched(self.sched)
             .with_mapping(self.map)
-            .with_page_map(self.page_map);
-        if BATCH_ACTIVE.load(Ordering::Relaxed) > 0 {
-            cfg.with_threads(1)
-        } else {
-            cfg
-        }
+            .with_page_map(self.page_map)
     }
 
     /// The process-wide per-cache-file lock: concurrent batch workers
@@ -1170,7 +1158,6 @@ impl Runner {
     ) -> Vec<Vec<RunSummary>> {
         let specs: Vec<(usize, usize)> =
             (0..apps.len()).flat_map(|a| (0..kinds.len()).map(move |k| (a, k))).collect();
-        let _batch = BatchGuard::enter();
         let flat: Vec<RunSummary> = specs
             .into_par_iter()
             .map(|(a, k)| self.run_single(&apps[a], kinds[k].clone()))
@@ -1183,7 +1170,6 @@ impl Runner {
     pub fn run_mix_matrix(&self, mixes: &[Mix], kinds: &[ConfigKind]) -> Vec<Vec<RunSummary>> {
         let specs: Vec<(usize, usize)> =
             (0..mixes.len()).flat_map(|m| (0..kinds.len()).map(move |k| (m, k))).collect();
-        let _batch = BatchGuard::enter();
         let flat: Vec<RunSummary> = specs
             .into_par_iter()
             .map(|(m, k)| self.run_mix(&mixes[m], kinds[k].clone()))
@@ -1200,31 +1186,7 @@ impl Runner {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        let _batch = BatchGuard::enter();
         (0..n).into_par_iter().map(f).collect::<Vec<_>>()
-    }
-}
-
-/// Number of batch/matrix fan-outs currently in flight, process-wide.
-/// Non-zero means the rayon pool is already busy with whole runs, so
-/// [`Runner::system_config`] pins each run's shard-parallel kernel to one
-/// worker thread instead of stacking pools (`runs × shards` threads).
-static BATCH_ACTIVE: AtomicUsize = AtomicUsize::new(0);
-
-/// RAII scope for [`BATCH_ACTIVE`]; drops on unwind too, so a panicking
-/// batch cannot leave later serial runs permanently single-threaded.
-struct BatchGuard;
-
-impl BatchGuard {
-    fn enter() -> Self {
-        BATCH_ACTIVE.fetch_add(1, Ordering::Relaxed);
-        Self
-    }
-}
-
-impl Drop for BatchGuard {
-    fn drop(&mut self) {
-        BATCH_ACTIVE.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

@@ -34,10 +34,13 @@
 //! [`config_hash`] fingerprints the producing [`SystemConfig`] so a
 //! snapshot only resumes under the configuration that made it — resuming
 //! under anything else would silently produce a run that matches nothing.
-//! The kernel and thread count are normalized out of the hash: all exact
-//! kernels produce bit-identical state, so a snapshot taken under one is
-//! valid under any other (and is what lets a warm snapshot serve a whole
-//! sweep regardless of the kernel each point runs).
+//! The kernel is normalized out of the hash: all exact kernels produce
+//! bit-identical state, so a snapshot taken under one is valid under any
+//! other (and is what lets a warm snapshot serve a whole sweep regardless
+//! of the kernel each point runs). Any other change to the config's
+//! `Debug` text — a field added or removed — changes the hash, so
+//! snapshots written before it no longer restore; the runner then
+//! re-simulates the warm prefix and overwrites the stale file.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -58,9 +61,8 @@ pub const FORMAT_VERSION: u64 = 2;
 
 /// Fingerprint of the configuration that may resume a snapshot.
 ///
-/// FNV-1a over the config's `Debug` rendering, with the kernel and
-/// thread count normalized out (exact kernels are bit-identical, and the
-/// parallel kernel's worker count never affects results — see the
+/// FNV-1a over the config's `Debug` rendering, with the kernel
+/// normalized out (exact kernels are bit-identical — see the
 /// kernel-equivalence suite in `system.rs`). A [`Kernel::Sampled`] run
 /// may also *resume* from a warm snapshot — its approximation starts
 /// after the exact warmup — but snapshots are only ever *written* by
@@ -69,7 +71,6 @@ pub const FORMAT_VERSION: u64 = 2;
 pub fn config_hash(cfg: &SystemConfig) -> u64 {
     let mut normalized = cfg.clone();
     normalized.kernel = Kernel::Event;
-    normalized.threads = 0;
     fnv1a(format!("{normalized:?}").as_bytes())
 }
 
@@ -380,13 +381,13 @@ mod tests {
     }
 
     #[test]
-    fn config_hash_ignores_kernel_and_threads() {
+    fn config_hash_ignores_kernel() {
         let mut a = SystemConfig::paper(2, ConfigKind::FigCacheFast);
         a.kernel = Kernel::Reference;
-        a.threads = 1;
         let mut b = a.clone();
-        b.kernel = Kernel::Parallel;
-        b.threads = 8;
+        b.kernel = Kernel::Event;
+        assert_eq!(config_hash(&a), config_hash(&b));
+        b.kernel = Kernel::Sampled { window: 10, skip: 20 };
         assert_eq!(config_hash(&a), config_hash(&b));
 
         let c = SystemConfig::paper(2, ConfigKind::Base);

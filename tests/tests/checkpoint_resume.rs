@@ -10,6 +10,9 @@ use proptest::prelude::*;
 use figaro_sim::{snapshot, ConfigKind, Kernel, RunStats, System, SystemConfig};
 use figaro_workloads::{app_profiles, generate_trace, Trace};
 
+/// The exact kernels: a snapshot saved under either resumes under either.
+const EXACT: [Kernel; 2] = [Kernel::Reference, Kernel::Event];
+
 /// A deterministic multi-core system from `(seed, cores, kind, kernel)`.
 fn build(seed: u64, cores: usize, kind: &ConfigKind, kernel: Kernel, insts: u64) -> System {
     let profiles = app_profiles();
@@ -23,26 +26,26 @@ fn build(seed: u64, cores: usize, kind: &ConfigKind, kernel: Kernel, insts: u64)
     System::new(cfg, traces, &vec![insts; cores])
 }
 
-/// Runs to completion, interrupted at `save_at` by a save/restore round
-/// trip through FGSN bytes, and returns both the resumed stats and the
-/// uninterrupted golden run.
+/// Runs under `save_kernel` up to `save_at`, round-trips the state
+/// through FGSN bytes, finishes under `resume_kernel`, and returns both
+/// the resumed stats and `resume_kernel`'s uninterrupted golden run.
 fn interrupted_vs_golden(
     seed: u64,
     cores: usize,
     kind: &ConfigKind,
-    kernel: Kernel,
+    (save_kernel, resume_kernel): (Kernel, Kernel),
     insts: u64,
     save_at: u64,
 ) -> (RunStats, RunStats) {
     let max = insts * 400;
-    let golden = build(seed, cores, kind, kernel, insts).run(max);
+    let golden = build(seed, cores, kind, resume_kernel, insts).run(max);
 
-    let mut first = build(seed, cores, kind, kernel, insts);
+    let mut first = build(seed, cores, kind, save_kernel, insts);
     let _ = first.run(save_at);
     let mut bytes = Vec::new();
     snapshot::save_to_writer(&first, &mut bytes).expect("snapshot save");
 
-    let mut resumed = build(seed, cores, kind, kernel, insts);
+    let mut resumed = build(seed, cores, kind, resume_kernel, insts);
     snapshot::restore_from_reader(&mut resumed, &mut bytes.as_slice()).expect("snapshot restore");
     (resumed.run(max), golden)
 }
@@ -50,29 +53,31 @@ fn interrupted_vs_golden(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random seed x save cycle x {Reference, Event, Parallel} x
-    /// {Base, FIGCache-Fast} x 1-2 cores: the resumed run's full
-    /// statistics record equals the uninterrupted run's bit for bit.
+    /// Random seed x save cycle x save kernel x resume kernel (both
+    /// from {Reference, Event}) x {Base, FIGCache-Fast} x 1-2 cores: the
+    /// resumed run's full statistics record equals the uninterrupted
+    /// run's bit for bit.
     #[test]
     fn resumed_run_is_bit_identical_to_uninterrupted(
         seed in 0u64..1_000_000,
         save_at in 500u64..40_000,
-        kernel_idx in 0usize..3,
+        save_kernel_idx in 0usize..2,
+        resume_kernel_idx in 0usize..2,
         cached in any::<bool>(),
         cores_log2 in 0u32..2,
     ) {
-        let kernel = [Kernel::Reference, Kernel::Event, Kernel::Parallel][kernel_idx];
+        let kernels = (EXACT[save_kernel_idx], EXACT[resume_kernel_idx]);
         let kind = if cached { ConfigKind::FigCacheFast } else { ConfigKind::Base };
         let cores = 1usize << cores_log2;
         let insts = 8_000;
-        let (resumed, golden) = interrupted_vs_golden(seed, cores, &kind, kernel, insts, save_at);
+        let (resumed, golden) = interrupted_vs_golden(seed, cores, &kind, kernels, insts, save_at);
         prop_assert_eq!(
             &resumed,
             &golden,
-            "resume diverged: seed={} save_at={} kernel={:?} kind={} cores={}",
+            "resume diverged: seed={} save_at={} kernels={:?} kind={} cores={}",
             seed,
             save_at,
-            kernel,
+            kernels,
             kind.label(),
             cores
         );
@@ -86,9 +91,9 @@ proptest! {
     fn event_snapshot_resumes_under_any_exact_kernel(
         seed in 0u64..1_000_000,
         save_at in 500u64..20_000,
-        resume_kernel_idx in 0usize..3,
+        resume_kernel_idx in 0usize..2,
     ) {
-        let resume_kernel = [Kernel::Reference, Kernel::Event, Kernel::Parallel][resume_kernel_idx];
+        let resume_kernel = EXACT[resume_kernel_idx];
         let kind = ConfigKind::FigCacheFast;
         let insts = 8_000;
         let max = insts * 400;
@@ -118,7 +123,8 @@ proptest! {
 #[test]
 fn lisa_villa_resumes_bit_identically() {
     let kind = ConfigKind::LisaVilla;
-    let (resumed, golden) = interrupted_vs_golden(42, 2, &kind, Kernel::Event, 8_000, 3_000);
+    let kernels = (Kernel::Event, Kernel::Event);
+    let (resumed, golden) = interrupted_vs_golden(42, 2, &kind, kernels, 8_000, 3_000);
     assert_eq!(resumed, golden);
 }
 

@@ -62,7 +62,7 @@ proptest! {
 /// The saturated regime the proptest above never reaches: eight
 /// write-heavy `lbm` cores on one channel keep every core's MSHRs full,
 /// so most core ticks are stall retries (the hierarchy's repeat-stall
-/// fast path). Event, Reference and Parallel must still agree.
+/// fast path). Event and Reference must still agree.
 #[test]
 fn saturated_eight_core_one_channel_kernels_agree() {
     let lbm = app_profiles().into_iter().find(|p| p.name == "lbm").expect("lbm profile");
@@ -71,16 +71,14 @@ fn saturated_eight_core_one_channel_kernels_agree() {
         let traces: Vec<Trace> = (0..8u64)
             .map(|i| generate_trace(&lbm, 6_000, 11 ^ i.wrapping_mul(0x9e37_79b9)))
             .collect();
-        let cfg = SystemConfig { kernel, ..SystemConfig::paper(8, ConfigKind::Base) }
-            .with_channels(1)
-            .with_threads(2);
+        let cfg =
+            SystemConfig { kernel, ..SystemConfig::paper(8, ConfigKind::Base) }.with_channels(1);
         System::new(cfg, traces, &[insts; 8]).run(insts * 400)
     };
     let reference = run(Kernel::Reference);
     assert!(reference.instructions.iter().all(|&i| i == insts));
     assert!(reference.hierarchy.mshr_stalls > 0, "MSHRs never filled: not the saturated regime");
     assert_eq!(reference, run(Kernel::Event), "event kernel diverged");
-    assert_eq!(reference, run(Kernel::Parallel), "parallel kernel diverged");
 }
 
 /// Eight cores on two channels running four streams twice each (core `i`
@@ -94,9 +92,7 @@ fn shared_footprint_system(kernel: Kernel) -> System {
     let apps = [app("lbm"), app("mcf")];
     let traces: Vec<Trace> =
         (0..8u64).map(|i| generate_trace(&apps[(i % 2) as usize], 6_000, 29 + i % 4)).collect();
-    let cfg = SystemConfig { kernel, ..SystemConfig::paper(8, ConfigKind::Base) }
-        .with_channels(2)
-        .with_threads(2);
+    let cfg = SystemConfig { kernel, ..SystemConfig::paper(8, ConfigKind::Base) }.with_channels(2);
     System::new(cfg, traces, &[8_000; 8])
 }
 
@@ -107,21 +103,18 @@ fn shared_footprint_eight_core_kernels_agree() {
     assert!(reference.hierarchy.mshr_stalls > 0, "MSHRs never filled");
     assert!(reference.hierarchy.llc.hits > 0, "no block was shared through the LLC");
     assert_eq!(reference, shared_footprint_system(Kernel::Event).run(8_000 * 400));
-    assert_eq!(reference, shared_footprint_system(Kernel::Parallel).run(8_000 * 400));
 }
 
 /// Telemetry samples every 97 cycles force the event kernel to catch its
 /// lazy cores up mid-span far more often than it ticks them: the interval
-/// series and the Chrome trace must still match the other kernels' byte
-/// for byte, and the run must match an unsampled one.
+/// series and the Chrome trace must still match the reference kernel's
+/// byte for byte, and the run must match an unsampled one.
 #[test]
 fn small_interval_telemetry_is_identical_across_kernels() {
     use figaro_telemetry::{parse_trace_spec, TelemetryConfig};
     let plain = shared_footprint_system(Kernel::Reference).run(8_000 * 400);
     let mut outputs = Vec::new();
-    for (tag, kernel) in
-        [("reference", Kernel::Reference), ("event", Kernel::Event), ("parallel", Kernel::Parallel)]
-    {
+    for (tag, kernel) in [("reference", Kernel::Reference), ("event", Kernel::Event)] {
         let mut sys = shared_footprint_system(kernel);
         sys.set_telemetry(&TelemetryConfig { interval: Some(97), trace: None });
         assert_eq!(sys.run(8_000 * 400), plain, "sampling perturbed RunStats under {tag}");

@@ -15,8 +15,8 @@ fn fig_dram() -> DramConfig {
     }
 }
 
-/// Number of completions drained this cycle (via the allocation-free
-/// `drain_completions_into`; the allocating variant is deprecated).
+/// Number of completions drained this cycle (via
+/// `drain_completions_into`, the controller's only drain).
 fn drained_count(mc: &mut MemoryController) -> u64 {
     let mut buf = Vec::new();
     mc.drain_completions_into(&mut buf);

@@ -2,20 +2,21 @@
 //! bit-identical to a cold uninterrupted run (the FGSN resume
 //! guarantee, exercised end to end through `run_scenario`), the warm
 //! snapshot must be written once and reused by every run sharing the
-//! warm prefix — including other kernels — and warmed results must key
-//! separately in the result cache so canonical entries stay cold.
+//! warm prefix — including other kernels — a stale snapshot must be
+//! re-simulated and replaced rather than restored, and warmed results must
+//! key separately in the result cache so canonical entries stay cold.
 
 use std::path::{Path, PathBuf};
 
-use figaro_sim::{ConfigKind, Kernel, Runner, Scale, Scenario, ScenarioWorkload};
+use figaro_sim::{snapshot, ConfigKind, Kernel, Runner, Scale, Scenario, ScenarioWorkload};
 use figaro_workloads::profile_by_name;
 
 const WARM_CYCLES: u64 = 2_000;
 
-fn scenario() -> Scenario {
+fn scenario_of(kind: ConfigKind) -> Scenario {
     Scenario::new(
         "warmstart",
-        ConfigKind::FigCacheFast,
+        kind,
         ScenarioWorkload::Apps(vec![
             profile_by_name("mcf").unwrap(),
             profile_by_name("lbm").unwrap(),
@@ -24,16 +25,28 @@ fn scenario() -> Scenario {
     .with_target_insts(12_000)
 }
 
+fn scenario() -> Scenario {
+    scenario_of(ConfigKind::FigCacheFast)
+}
+
 fn tmp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("figaro-warm-{tag}-{}", std::process::id()))
 }
 
+fn fgsn_files(dir: &Path) -> Vec<PathBuf> {
+    std::fs::read_dir(dir).map_or_else(
+        |_| Vec::new(),
+        |rd| {
+            rd.filter_map(Result::ok)
+                .map(|e| e.path())
+                .filter(|p| p.extension().is_some_and(|x| x == "fgsn"))
+                .collect()
+        },
+    )
+}
+
 fn fgsn_count(dir: &Path) -> usize {
-    std::fs::read_dir(dir).map_or(0, |rd| {
-        rd.filter_map(Result::ok)
-            .filter(|e| e.path().extension().is_some_and(|x| x == "fgsn"))
-            .count()
-    })
+    fgsn_files(dir).len()
 }
 
 #[test]
@@ -66,6 +79,46 @@ fn warm_run_matches_cold_run_bit_for_bit() {
     assert_eq!(fgsn_count(&snaps), 2, "a different warm length is its own snapshot");
 
     let _ = std::fs::remove_dir_all(&snaps);
+}
+
+/// A snapshot whose config hash no longer matches — what every FGSN file
+/// written before a change to `SystemConfig`'s fields looks like — must
+/// not restore: the runner re-simulates the warm prefix, matches the cold
+/// run, and overwrites the stale file with a fresh snapshot.
+#[test]
+fn stale_snapshot_is_resimulated_and_replaced() {
+    let snaps = tmp_dir("stale");
+    let other = tmp_dir("stale-other");
+    let _ = std::fs::remove_dir_all(&snaps);
+    let _ = std::fs::remove_dir_all(&other);
+
+    let cold = Runner::uncached(Scale::Tiny).run_scenario(&scenario());
+    let runner = Runner::uncached(Scale::Tiny).with_snapshot_dir(snaps.clone());
+    let _ = runner.run_scenario(&scenario().with_warmup(WARM_CYCLES));
+    let [path] = fgsn_files(&snaps).try_into().expect("one warm snapshot");
+    let fresh = std::fs::read(&path).expect("read fresh snapshot");
+
+    // The same scenario under another mechanism writes a well-formed
+    // snapshot with a different config hash; plant it at the warm key.
+    let _ = Runner::uncached(Scale::Tiny)
+        .with_snapshot_dir(other.clone())
+        .run_scenario(&scenario_of(ConfigKind::Base).with_warmup(WARM_CYCLES));
+    let [stale_path] = fgsn_files(&other).try_into().expect("one stale snapshot");
+    let stale = std::fs::read(&stale_path).expect("read stale snapshot");
+    let hash = |bytes: &[u8]| snapshot::read_header(&mut &bytes[..]).expect("header").config_hash;
+    assert_ne!(hash(&stale), hash(&fresh), "the planted snapshot must be stale");
+    std::fs::write(&path, &stale).expect("plant stale snapshot");
+
+    let rerun = runner.run_scenario(&scenario().with_warmup(WARM_CYCLES));
+    assert_eq!(rerun, cold, "a stale snapshot leaked into the run");
+    // The runner writes a snapshot only after simulating the warm prefix
+    // itself, so finding the fresh bytes again proves both the
+    // re-simulation and the rewrite.
+    assert_eq!(fgsn_files(&snaps), vec![path.clone()]);
+    assert_eq!(std::fs::read(&path).expect("reread snapshot"), fresh, "stale file not replaced");
+
+    let _ = std::fs::remove_dir_all(&snaps);
+    let _ = std::fs::remove_dir_all(&other);
 }
 
 #[test]
