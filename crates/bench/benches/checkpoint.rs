@@ -74,13 +74,16 @@ struct SampledPoint {
 }
 
 fn warm_start_sweep(insts: u64, snap_dir: &std::path::Path) -> (Vec<GridPoint>, u64) {
-    let cold_runner = Runner::uncached(Scale::Tiny);
+    // Uncached (every pass must really simulate), with the `FIGARO_*`
+    // overrides applied like every other bench run.
+    let cold_runner = figaro_bench::with_env(Runner::uncached(Scale::Tiny));
     let colds: Vec<(RunSummary, f64)> =
         (0..GRID).map(|i| timed_run(&cold_runner, &scenario(i, insts))).collect();
     let min_cycles = colds.iter().map(|(s, _)| s.cpu_cycles).min().expect("grid non-empty");
     let warm_cycles = (min_cycles as f64 * WARM_FRACTION) as u64;
 
-    let warm_runner = Runner::uncached(Scale::Tiny).with_snapshot_dir(snap_dir.to_path_buf());
+    let warm_runner = figaro_bench::with_env(Runner::uncached(Scale::Tiny))
+        .with_snapshot_dir(snap_dir.to_path_buf());
     // Pass 2: empty snapshot store — pays each point's warm prefix once.
     let misses: Vec<(RunSummary, f64)> = (0..GRID)
         .map(|i| timed_run(&warm_runner, &scenario(i, insts).with_warmup(warm_cycles)))
@@ -114,13 +117,14 @@ fn sampled_accuracy(insts: u64) -> Vec<SampledPoint> {
     // (FIGCache — the same warmup transient warm-start exists to skip).
     let (window, skip) = (insts / 4, insts * 2 / 5);
     let configs = [("base", ConfigKind::Base), ("figcache-fast", ConfigKind::FigCacheFast)];
+    let runner = figaro_bench::env_runner(Scale::Tiny);
     sweep_apps()
         .iter()
         .flat_map(|p| {
             let trace = generate_trace(p, 8_000, 7_777);
             configs.clone().map(|(label, kind)| {
                 let run = |kernel: Kernel| {
-                    let cfg = SystemConfig { kernel, ..SystemConfig::paper(1, kind.clone()) };
+                    let cfg = SystemConfig { kernel, ..runner.system_config(1, kind.clone()) };
                     let mut sys = System::new(cfg, vec![trace.clone()], &[insts]);
                     let t = Instant::now();
                     (sys.run(insts * 400), t.elapsed().as_secs_f64())

@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use figaro_sim::experiments::{mapping_kinds, mapping_sweep, page_policies};
-use figaro_sim::{ConfigKind, Kernel, MapKind, PageMapKind, RunStats, System, SystemConfig};
+use figaro_sim::{ConfigKind, Kernel, MapKind, PageMapKind, RunStats, Scale, System, SystemConfig};
 use figaro_workloads::{generate_trace, profile_by_name, Trace};
 
 /// One run of the backlog-saturation shape (event kernel) under the
@@ -38,9 +38,12 @@ fn run_backlog(kind: &ConfigKind, map: MapKind, page_map: PageMapKind) -> (RunSt
         .enumerate()
         .map(|(i, n)| generate_trace(&profile_by_name(n).unwrap(), 60_000, 31 + i as u64))
         .collect();
-    let mut cfg = SystemConfig { kernel: Kernel::Event, ..SystemConfig::paper(8, kind.clone()) }
-        .with_mapping(map)
-        .with_page_map(page_map);
+    let mut cfg = SystemConfig {
+        kernel: Kernel::Event,
+        ..figaro_bench::env_runner(Scale::Tiny).system_config(8, kind.clone())
+    }
+    .with_mapping(map)
+    .with_page_map(page_map);
     cfg.channels = 1; // every request contends for one controller
     cfg.hierarchy.mshrs_per_core = 16; // 128 outstanding misses vs 64 queue slots
     let insts = 40_000u64;

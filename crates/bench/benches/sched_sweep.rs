@@ -29,7 +29,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use figaro_sim::experiments::{sched_policies, scheduler_sweep};
-use figaro_sim::{ConfigKind, Kernel, RunStats, SchedPolicyKind, System, SystemConfig};
+use figaro_sim::{ConfigKind, Kernel, RunStats, Scale, SchedPolicyKind, System, SystemConfig};
 use figaro_workloads::{generate_trace, profile_by_name, Trace};
 
 const SAMPLES: usize = 5;
@@ -45,7 +45,10 @@ fn run_backlog(kind: &ConfigKind, sched: SchedPolicyKind, flat_scan: bool) -> (R
         .enumerate()
         .map(|(i, n)| generate_trace(&profile_by_name(n).unwrap(), 60_000, 31 + i as u64))
         .collect();
-    let mut cfg = SystemConfig { kernel: Kernel::Event, ..SystemConfig::paper(8, kind.clone()) };
+    let mut cfg = SystemConfig {
+        kernel: Kernel::Event,
+        ..figaro_bench::env_runner(Scale::Tiny).system_config(8, kind.clone())
+    };
     cfg.channels = 1; // every request contends for one controller
     cfg.mc.sched = sched;
     cfg.mc.flat_scan = flat_scan;

@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use figaro_sim::runner::{idle_companion_trace, Scale, IDLE_COMPANION_TARGET};
-use figaro_sim::{ConfigKind, Kernel, RunStats, Runner, System, SystemConfig};
+use figaro_sim::{ConfigKind, Kernel, RunStats, System, SystemConfig};
 use figaro_workloads::profile_by_name;
 
 const SAMPLES: usize = 5;
@@ -70,7 +70,7 @@ const SHAPES: [Shape; 3] = [
 
 /// One uncached run of `shape` under `kernel`.
 fn run_once(shape: &Shape, kernel: Kernel, scale: Scale) -> (RunStats, f64) {
-    let runner = Runner::uncached(scale);
+    let runner = figaro_bench::env_runner(scale);
     let insts = scale.target_insts();
     let app = shape.workload.split('-').next().expect("workload app prefix");
     let profile = profile_by_name(app).expect("workload profile exists");
@@ -83,7 +83,7 @@ fn run_once(shape: &Shape, kernel: Kernel, scale: Scale) -> (RunStats, f64) {
         traces.push(idle_companion_trace());
         targets.push(IDLE_COMPANION_TARGET);
     }
-    let cfg = SystemConfig { kernel, ..SystemConfig::paper(cores, shape.kind()) };
+    let cfg = SystemConfig { kernel, ..runner.system_config(cores, shape.kind()) };
     let mut sys = System::new(cfg, traces, &targets);
     let t = Instant::now();
     let stats = sys.run(insts * 400);

@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use figaro_sim::runner::Scale;
-use figaro_sim::{ConfigKind, RunStats, System, SystemConfig};
+use figaro_sim::{ConfigKind, RunStats, System};
 use figaro_telemetry::{parse_trace_spec, TelemetryConfig};
 use figaro_workloads::{generate_trace, profile_by_name, Trace};
 
@@ -38,7 +38,9 @@ fn run_once(tcfg: &TelemetryConfig, insts: u64) -> (RunStats, f64) {
             generate_trace(&p, 8_000, 4_100 + i as u64)
         })
         .collect();
-    let cfg = SystemConfig::paper(4, ConfigKind::FigCacheFast).with_channels(4);
+    let cfg = figaro_bench::env_runner(Scale::Tiny)
+        .system_config(4, ConfigKind::FigCacheFast)
+        .with_channels(4);
     let mut sys = System::new(cfg, traces, &[insts; 4]);
     sys.set_telemetry(tcfg);
     let t = Instant::now();

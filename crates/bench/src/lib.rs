@@ -17,10 +17,12 @@
 //! * `FIGARO_LONG_RUN=<ops>` — append long-run streaming mixes (that
 //!   many memory operations per core, bounded memory at any length) to
 //!   the `streaming_scenarios` target;
-//! * `FIGARO_SCHED=frfcfs|fcfs|frfcfs-cap<N>|wdrain<H>-<L>` — the
-//!   memory-controller scheduling policy (non-default policies get
-//!   their own result-cache keys; the `sched_sweep` target compares
-//!   them explicitly).
+//! * the result-affecting overrides `FIGARO_KERNEL`, `FIGARO_SCHED`,
+//!   `FIGARO_MAP`, `FIGARO_PAGEMAP`, `FIGARO_LOAD`, `FIGARO_WARMUP`,
+//!   `FIGARO_FREE_RELOC` and `FIGARO_SNAPSHOT_DIR`, parsed once per bench
+//!   by [`env_runner`] ([`Runner::from_env`]). Every cached run is named
+//!   by its resolved spec, so each setting gets its own cache entries; a
+//!   malformed value exits with status 2.
 //!
 //! The `micro` target contains Criterion micro-benchmarks of simulator
 //! hot paths (DRAM command issue, controller scheduling, tag-store
@@ -72,12 +74,33 @@ fn workspace_root(start: &Path) -> io::Result<PathBuf> {
         })
 }
 
+/// [`Runner::from_env`] at `scale`: the runner (and, through
+/// [`Runner::system_config`], the system config) every bench derives its
+/// runs from. A malformed `FIGARO_*` variable prints the error and exits
+/// with status 2.
+#[must_use]
+pub fn env_runner(scale: Scale) -> Runner {
+    with_env(Runner::new(scale))
+}
+
+/// `runner` with the process environment's overrides applied
+/// ([`Runner::with_env`]); a malformed `FIGARO_*` variable prints the
+/// error and exits with status 2.
+#[must_use]
+pub fn with_env(runner: Runner) -> Runner {
+    runner.with_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
 /// Builds the shared runner and prints the standard bench header.
 #[must_use]
 pub fn bench_runner(name: &str) -> Runner {
     let scale = Scale::from_env();
+    let runner = env_runner(scale);
     println!("--- {name} (scale: {}, cache: target/figaro-cache) ---", scale.label());
-    Runner::new(scale)
+    runner
 }
 
 /// Runs `f`, printing its wall-clock duration.

@@ -112,7 +112,7 @@ pub enum MapScheme {
 }
 
 impl MapScheme {
-    /// Stable label fragment for reports, cache keys and `FIGARO_MAP`.
+    /// Stable label fragment for reports and `FIGARO_MAP`.
     #[must_use]
     pub fn label(&self) -> &'static str {
         match self {
@@ -125,7 +125,7 @@ impl MapScheme {
 
 /// Complete identification of an address mapping: a base scheme plus
 /// the optional XOR bank-permutation layer. This is the value form
-/// carried by controller/system configs and result-cache keys.
+/// carried by controller/system configs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct MapKind {
     /// The base bit-slice scheme.
@@ -141,7 +141,7 @@ impl MapKind {
         Self::default()
     }
 
-    /// Stable label for reports, cache keys and `FIGARO_MAP`:
+    /// Stable label for reports and `FIGARO_MAP`:
     /// `paper` | `chfirst` | `rowint`, with an `-xor` suffix when the
     /// bank-permutation layer is on (e.g. `paper-xor`).
     #[must_use]
@@ -172,32 +172,6 @@ impl MapKind {
             _ => return None,
         };
         Some(MapKind { scheme, xor_bank })
-    }
-
-    /// Reads `FIGARO_MAP` (a [`MapKind::from_name`] label), defaulting
-    /// to the paper mapping when unset. Read once per process — the
-    /// selector sits on system-construction paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized value: the override exists to pick the
-    /// mapping under study, so a typo must fail loudly rather than
-    /// silently measure the default.
-    #[must_use]
-    pub fn from_env() -> Self {
-        static MAP: std::sync::OnceLock<MapKind> = std::sync::OnceLock::new();
-        *MAP.get_or_init(|| {
-            let raw = std::env::var("FIGARO_MAP").unwrap_or_default();
-            if raw.is_empty() {
-                return MapKind::default();
-            }
-            MapKind::from_name(&raw).unwrap_or_else(|| {
-                panic!(
-                    "unrecognized FIGARO_MAP `{raw}` \
-                     (use paper | chfirst | rowint, optionally with an -xor suffix)"
-                )
-            })
-        })
     }
 }
 

@@ -97,9 +97,6 @@ const SCHEMA: &[&str] = &[
     "floats.scopes",
     "floats.sanitizers",
     "floats.allow",
-    "cache_key.structs",
-    "cache_key.key_fns",
-    "cache_key.allow",
     "env_registry.prefix",
     "env_registry.docs",
     "env_registry.usage",

@@ -1,17 +1,18 @@
 //! # figlint — repo-specific static analysis for the FIGARO workspace
 //!
-//! FIGARO's headline claim is **bit-identical reproduction**: four
+//! FIGARO's headline claim is **bit-identical reproduction**: the exact
 //! kernels, four schedulers and a sweep grid must all agree to the last
 //! bit, and a shared on-disk result cache must never return anything a
-//! fresh run would not produce. The invariants that make that true are
-//! domain rules no generic linter knows:
+//! fresh run would not produce (the cache itself guarantees the latter:
+//! each entry is named by its full run spec and checked on read). The
+//! invariants that make the rest true are domain rules no generic linter
+//! knows:
 //!
 //! | Rule | ID | Bug class it mechanizes |
 //! |---|---|---|
 //! | [`rules::determinism`] | FIG001 | order-dependent `HashMap`/`HashSet` iteration, wall-clock reads, unseeded RNG in result-affecting crates |
 //! | [`rules::horizon`] | FIG002 | `Cycle::MAX`/`u64::MAX` as `unwrap_or`/`fold` defaults in `*horizon*`/`next_*`/`earliest_*` functions (the PR-3 refresh-disable bug) |
-//! | [`rules::floats`] | FIG003 | lossy `{}`/`{:?}` float formatting in cache-key/serialization functions (the PR-6 cache-corruption bug) |
-//! | [`rules::cache_key`] | FIG004 | result-affecting config fields missing from the result-cache key builders |
+//! | [`rules::floats`] | FIG003 | lossy `{}`/`{:?}` float formatting in serialization functions (the PR-6 cache-corruption bug) |
 //! | [`rules::env_registry`] | FIG005 | `FIGARO_*` env vars read in code but undocumented (or documented but unread) |
 //! | [`rules::panics`] | FIG006 | unbudgeted `unwrap`/`expect`/`panic!` growth in library code |
 //! | [`rules::probe`] | FIG007 | telemetry emits in result-affecting crates not behind the zero-cost `probe!` guard |
@@ -146,7 +147,6 @@ pub fn analyze_root(root: &Path) -> Result<Vec<Diagnostic>, String> {
     diags.extend(rules::determinism::run(&ws, &mut tracker)?);
     diags.extend(rules::horizon::run(&ws, &mut tracker)?);
     diags.extend(rules::floats::run(&ws, &mut tracker)?);
-    diags.extend(rules::cache_key::run(&ws, &mut tracker)?);
     diags.extend(rules::env_registry::run(&ws, &mut tracker)?);
     diags.extend(rules::panics::run(&ws, &mut tracker)?);
     diags.extend(rules::probe::run(&ws, &mut tracker)?);

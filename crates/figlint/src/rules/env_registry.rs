@@ -7,8 +7,10 @@
 //! sync:
 //!
 //! * **reads** — string literals starting with `[env_registry] prefix`
-//!   on lines that call `env::var` / `env::var_os`, anywhere in the
-//!   workspace (test code included: a test-only knob still needs docs);
+//!   on lines that call one of [`READERS`] (`env::var` / `env::var_os`,
+//!   or the `env_var` / `env_lookup` closure a parser that takes a lookup
+//!   function reads through), anywhere in the workspace (test code
+//!   included: a test-only knob still needs docs);
 //! * **docs** — `FIGARO_*` tokens appearing in the `[env_registry]
 //!   docs` files (e.g. `README.md`);
 //! * **usage** — tokens in string literals of the `[env_registry]
@@ -22,17 +24,23 @@
 use crate::rules::AllowTracker;
 use crate::{Diagnostic, Workspace};
 
+/// Calls that read a variable: the process environment directly, or the
+/// lookup closure `Runner::from_env` parses through (`env_lookup`, and
+/// `env_var`, which drops empty values) so tests never touch the process
+/// environment.
+const READERS: &[&str] = &["env::var(", "env::var_os(", "env_var(", "env_lookup("];
+
 /// Runs FIG005 over the workspace.
 pub fn run(ws: &Workspace, tracker: &mut AllowTracker) -> Result<Vec<Diagnostic>, String> {
     let prefix = ws.config.string_or("env_registry.prefix", "FIGARO_");
     tracker.register("env_registry", ws.config.allow("env_registry")?);
 
-    // (var, file, line) for every same-line `env::var*("PREFIX…")` read.
+    // (var, file, line) for every same-line `<reader>("PREFIX…")` read.
     let mut reads: Vec<(String, String, usize)> = Vec::new();
     for file in &ws.files {
         for (i, code) in file.code_lines.iter().enumerate() {
             let line = i + 1;
-            if !(code.contains("env::var(") || code.contains("env::var_os(")) {
+            if !READERS.iter().any(|r| code.contains(r)) {
                 continue;
             }
             for lit in file.strings_on(line) {

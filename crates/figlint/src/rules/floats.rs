@@ -1,5 +1,5 @@
-//! FIG003 — lossless floats: cache-key/serialization functions must not
-//! format floats with `{}` / `{:?}`.
+//! FIG003 — lossless floats: serialization functions must not format
+//! floats with `{}` / `{:?}`.
 //!
 //! The PR-6 bug class: `{}` (and `{:?}`) print the *shortest* decimal
 //! that round-trips, so two different `f64`s can share a display string
@@ -13,8 +13,8 @@
 //!
 //! * `[floats] float_structs` — `"path: Struct"` entries whose `f32` /
 //!   `f64` (incl. `Vec<f64>`) fields are the values at risk;
-//! * `[floats] scopes` — names of serialization/key functions where the
-//!   convention is mandatory (`to_text`, `config_key`, …).
+//! * `[floats] scopes` — names of serialization functions where the
+//!   convention is mandatory (`to_text`, `save_state`, …).
 //!
 //! Inside a scope function, a formatting-macro line that mentions a
 //! float field (as an argument or as a `{field}` inline placeholder) or
@@ -109,7 +109,7 @@ fn collect_float_fields(ws: &Workspace) -> Result<Vec<String>, String> {
         let Some(file) = ws.file(path.trim()) else {
             return Err(format!("figlint.toml: [floats] float_structs: no such file `{path}`"));
         };
-        for (fname, ftype, _line) in crate::rules::cache_key::struct_fields(file, name.trim())? {
+        for (fname, ftype, _line) in crate::scan::struct_fields(file, name.trim())? {
             if (contains_word(&ftype, "f64") || contains_word(&ftype, "f32"))
                 && !fields.contains(&fname)
             {

@@ -14,7 +14,7 @@
 //!   rules skip;
 //! * **function spans** — `(name, start..end)` line ranges found by
 //!   lexical brace matching, so rules can scope checks to functions by
-//!   name (`*horizon*`, cache-key builders, …).
+//!   name (`*horizon*`, serializers, …).
 //!
 //! The model is heuristic by design: it trades exhaustive syntactic
 //! fidelity for zero dependencies and total transparency. Each rule
@@ -430,6 +430,53 @@ pub fn ident_ending_at(line: &str, end: usize) -> Option<&str> {
     Some(&line[s..end])
 }
 
+/// `(name, type, decl_line)` for each named field of `struct_name` in
+/// `file`. Errors when the struct is not found.
+pub fn struct_fields(
+    file: &SourceFile,
+    struct_name: &str,
+) -> Result<Vec<(String, String, usize)>, String> {
+    let decl = file
+        .code_lines
+        .iter()
+        .position(|c| {
+            contains_word(c, "struct") && contains_word(c, struct_name) && !c.contains("impl")
+        })
+        .ok_or_else(|| format!("figlint.toml: no `struct {struct_name}` in `{}`", file.rel_path))?;
+    let mut fields = Vec::new();
+    let mut depth = 0usize;
+    let mut opened = false;
+    for (i, code) in file.code_lines.iter().enumerate().skip(decl) {
+        if opened && depth == 1 {
+            let t = code.trim();
+            let t = t.strip_prefix("pub ").unwrap_or(t);
+            if let Some((name, ty)) = t.split_once(':') {
+                let name = name.trim();
+                if !name.is_empty()
+                    && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+                    && !name.chars().next().is_some_and(|c| c.is_ascii_digit())
+                {
+                    fields.push((name.to_string(), ty.trim().to_string(), i + 1));
+                }
+            }
+        }
+        for ch in code.chars() {
+            match ch {
+                '{' => {
+                    depth += 1;
+                    opened = true;
+                }
+                '}' => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+        }
+        if opened && depth == 0 {
+            break;
+        }
+    }
+    Ok(fields)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,5 +536,25 @@ mod tests {
         let line = "self.pending.iter()";
         let dot = line.rfind(".iter").unwrap();
         assert_eq!(ident_ending_at(line, dot), Some("pending"));
+    }
+
+    #[test]
+    fn parses_struct_fields_with_lines() {
+        let src = "\
+/// Doc.\n\
+pub struct Cfg {\n\
+    /// Cores.\n\
+    pub cores: usize,\n\
+    pub sched: Sched, // which\n\
+    limits: Vec<f64>,\n\
+}\n\
+pub struct Other { pub x: u8 }\n";
+        let f = SourceFile::lex("a.rs", src);
+        let fields = struct_fields(&f, "Cfg").unwrap();
+        let names: Vec<&str> = fields.iter().map(|(n, _, _)| n.as_str()).collect();
+        assert_eq!(names, vec!["cores", "sched", "limits"]);
+        assert_eq!(fields[0].2, 4);
+        assert!(fields[2].1.contains("f64"));
+        assert!(struct_fields(&f, "Missing").is_err());
     }
 }

@@ -110,18 +110,6 @@ fn floats_accept_the_fgsn_word_stream_convention() {
 }
 
 #[test]
-fn cache_key_catches_an_unkeyed_field() {
-    let diags = lint("cache_key/bad");
-    assert_rules("cache_key/bad", &["FIG004"]);
-    assert!(diags[0].contains("Config.free_reloc"), "{}", diags.join("\n"));
-}
-
-#[test]
-fn cache_key_accepts_keyed_fields_and_justified_allows() {
-    assert_clean("cache_key/good");
-}
-
-#[test]
 fn env_registry_catches_both_directions() {
     let diags = lint("env_registry/bad");
     assert!(

@@ -18,18 +18,6 @@ use crate::queues::{Entry, IndexedQueue};
 use crate::request::{Completion, Request};
 use crate::scheduler::{self, PrepAction, SchedPolicy, SchedPolicyKind};
 
-/// Whether the `FIGARO_FREE_RELOC` debug ablation is active. Read once
-/// per process (the controller consults it on the tick hot path and the
-/// event-horizon path, which must agree).
-///
-/// Public because the ablation changes simulated results, so the result
-/// cache must see it: the sim runner appends a `-freereloc` key suffix
-/// whenever this returns `true`.
-pub fn free_reloc_active() -> bool {
-    static MODE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *MODE.get_or_init(|| std::env::var_os("FIGARO_FREE_RELOC").is_some())
-}
-
 /// Controller configuration (the paper's Table 1 values by default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct McConfig {
@@ -58,6 +46,11 @@ pub struct McConfig {
     /// indexes. Selection is identical either way; this exists as the
     /// wall-clock baseline for the `sched_sweep` bench.
     pub flat_scan: bool,
+    /// Zero-cost relocation ablation (debug only): relocation train
+    /// commands take no command-bus slot, which separates bus pressure
+    /// from relocation latency in the overhead attribution. Changes
+    /// results; off in every paper configuration.
+    pub free_reloc: bool,
 }
 
 impl Default for McConfig {
@@ -72,6 +65,7 @@ impl Default for McConfig {
             sched: SchedPolicyKind::FrFcfs,
             map: MapKind::default(),
             flat_scan: false,
+            free_reloc: false,
         }
     }
 }
@@ -617,10 +611,10 @@ impl MemoryController {
             return;
         }
 
-        // Debug ablation (FIGARO_FREE_RELOC=1): train commands cost no
+        // Debug ablation (`McConfig::free_reloc`): train commands cost no
         // command-bus slot; used to attribute overhead between bus
         // pressure and relocation latency.
-        if free_reloc_active() {
+        if self.cfg.free_reloc {
             for _ in 0..16 {
                 if !self.try_issue_job_step(now, true) {
                     break;
@@ -706,7 +700,7 @@ impl MemoryController {
         if self.read_q.is_empty() && self.write_q.is_empty() && !any_job && !any_pending {
             return (best != Cycle::MAX).then_some(best);
         }
-        if free_reloc_active() && (any_job || any_pending) {
+        if self.cfg.free_reloc && (any_job || any_pending) {
             // The debug ablation issues free train steps on every tick.
             return Some(from);
         }

@@ -15,8 +15,7 @@
 //! * 64-entry read and write queues with write-drain watermarks
 //!   (writes are buffered and drained in bursts, with block-aligned
 //!   read-around-write forwarding from the write queue);
-//! * pluggable demand scheduling ([`McConfig::sched`], overridable per
-//!   process via `FIGARO_SCHED`): **FR-FCFS** (default — ready row-hit
+//! * pluggable demand scheduling ([`McConfig::sched`]): **FR-FCFS** (default — ready row-hit
 //!   column commands first, then oldest-first activation/precharge),
 //!   strict **FCFS**, **FR-FCFS with a row-hit cap** (starvation
 //!   freedom), and FR-FCFS with **tunable write-drain watermarks**;
@@ -53,7 +52,7 @@ pub mod queues;
 pub mod request;
 pub mod scheduler;
 
-pub use controller::{free_reloc_active, McConfig, McStats, MemoryController};
+pub use controller::{McConfig, McStats, MemoryController};
 pub use histogram::LatencyHistogram;
 pub use request::{Completion, Request, BLOCK_BYTES};
 pub use scheduler::{SchedPolicy, SchedPolicyKind};

@@ -22,9 +22,7 @@
 //!   `sched_sweep` bench and as the oracle of the view memo. Both
 //!   strategies pick the identical command.
 //!
-//! The policy in force is chosen by [`crate::McConfig::sched`]; the
-//! `FIGARO_SCHED` environment variable overrides the default at system
-//! construction (see [`SchedPolicyKind::from_env`]).
+//! The policy in force is chosen by [`crate::McConfig::sched`].
 
 use figaro_dram::{Cycle, DramChannel, DramCommand};
 
@@ -32,7 +30,7 @@ use crate::bank::{BankAgg, BankState};
 use crate::queues::{Entry, IndexedQueue};
 
 /// Identifies a scheduling policy — the value form carried by
-/// [`crate::McConfig`], scenario overrides and result-cache keys.
+/// [`crate::McConfig`] and scenario overrides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedPolicyKind {
     /// First-ready FCFS: ready row hits bypass older requests, then
@@ -62,7 +60,7 @@ pub enum SchedPolicyKind {
 }
 
 impl SchedPolicyKind {
-    /// Stable label for reports, cache keys and `FIGARO_SCHED`.
+    /// Stable label for reports and `FIGARO_SCHED`.
     #[must_use]
     pub fn label(&self) -> String {
         match self {
@@ -95,32 +93,6 @@ impl SchedPolicyKind {
             return Some(SchedPolicyKind::WriteDrain { high, low });
         }
         None
-    }
-
-    /// Reads `FIGARO_SCHED` (a [`SchedPolicyKind::from_name`] label),
-    /// defaulting to [`SchedPolicyKind::FrFcfs`] when unset. Read once
-    /// per process — the selector sits on system-construction paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized value: the override exists to pick the
-    /// policy under study, so a typo must fail loudly rather than
-    /// silently benchmark the default.
-    #[must_use]
-    pub fn from_env() -> Self {
-        static SCHED: std::sync::OnceLock<SchedPolicyKind> = std::sync::OnceLock::new();
-        *SCHED.get_or_init(|| {
-            let raw = std::env::var("FIGARO_SCHED").unwrap_or_default();
-            if raw.is_empty() {
-                return SchedPolicyKind::FrFcfs;
-            }
-            SchedPolicyKind::from_name(&raw).unwrap_or_else(|| {
-                panic!(
-                    "unrecognized FIGARO_SCHED `{raw}` \
-                     (use frfcfs | fcfs | frfcfs-cap<N> | wdrain<H>-<L>)"
-                )
-            })
-        })
     }
 
     /// Builds the policy for a channel with `banks` banks.

@@ -4,14 +4,14 @@
 //! `diag snapshot <file.fgsn>` inspects a warm-state snapshot without
 //! restoring it.
 //!
-//! Bad arguments print usage and exit nonzero (no panics): the binary is
-//! meant to sit in shell loops. The memory-controller scheduling policy
-//! follows `FIGARO_SCHED` like every other run.
+//! Bad arguments and malformed `FIGARO_*` variables print a message and
+//! exit 2 (no panics): the binary is meant to sit in shell loops. The run
+//! is configured by [`Runner::from_env`], exactly like the benches.
 
 use figaro_sim::runner::Scale;
-use figaro_sim::{snapshot, ConfigKind, System, SystemConfig};
+use figaro_sim::{snapshot, ConfigKind, Runner, System};
 use figaro_telemetry::TelemetryConfig;
-use figaro_workloads::{profile_by_name, ArrivalKind, ArrivalSchedule, TraceSource};
+use figaro_workloads::{profile_by_name, ArrivalSchedule, TraceSource};
 
 fn usage() -> ! {
     eprintln!(
@@ -38,7 +38,7 @@ fn usage() -> ! {
          memory-controller scheduling policy,\n\
          FIGARO_KERNEL=event|reference|sampled[:W,S] the\n\
          simulation kernel (sampled alternates W detailed cycles with S\n\
-         fast-forwarded cycles — approximate, its results key separately),\n\
+         fast-forwarded cycles — approximate),\n\
          FIGARO_MAP=paper|chfirst|rowint[-xor] the DRAM address mapping,\n\
          FIGARO_PAGEMAP=ident|rand<seed>|color<N> the OS page-frame\n\
          placement,\n\
@@ -47,11 +47,12 @@ fn usage() -> ! {
          FIGARO_WARMUP=<N> warm-starts scenario runs: the first N CPU\n\
          cycles are simulated once, snapshotted, and every run sharing\n\
          the warm prefix resumes from the snapshot (bit-identical to an\n\
-         uninterrupted run; warmed results key separately),\n\
+         uninterrupted run),\n\
          FIGARO_SCALE=tiny|small|full the per-core instruction target in\n\
          the sweep binaries,\n\
-         FIGARO_FREE_RELOC=1 zero-cost relocation ablation (debug only;\n\
-         cache keys grow a -freereloc suffix)\n\
+         FIGARO_FREE_RELOC=1 zero-cost relocation ablation (debug only).\n\
+         A malformed value is an error (exit 2). Every cached run is named\n\
+         by its resolved spec, so each setting gets its own results.\n\
          \n\
          env (never affects results):\n\
          FIGARO_SNAPSHOT_DIR=<dir> where FGSN warm-state snapshots live\n\
@@ -192,16 +193,21 @@ fn main() {
         eprintln!("unknown app `{app}`");
         usage();
     };
-    let runner = figaro_sim::Runner::uncached(scale);
+    let runner = match Runner::from_env(scale) {
+        Ok(runner) => runner,
+        Err(e) => {
+            eprintln!("diag: {e}");
+            std::process::exit(2);
+        }
+    };
     let trace = runner.trace_for(&profile, 0);
-    let insts = (scale.target_insts() as f64 * (profile.nonmem_per_mem + 1.0) / 3.0) as u64;
-    let insts = insts.clamp(scale.target_insts(), scale.target_insts() * 12);
-    let cfg = SystemConfig::paper(1, kind.clone());
+    let insts = runner.target_insts(&profile);
+    let cfg = runner.system_config(1, kind.clone());
     let kernel = cfg.kernel;
     let sched = cfg.mc.sched;
     let map = cfg.mc.map;
     let page_map = cfg.page_map;
-    let mut sys = match ArrivalKind::from_env() {
+    let mut sys = match runner.arrival() {
         // Open-loop pacing: wrap the trace source like scenario runs do.
         Some(load) => {
             let src: Box<dyn TraceSource> =

@@ -57,6 +57,7 @@ pub(crate) fn take(src: &mut &[u64]) -> u64 {
 pub mod config;
 pub mod experiments;
 pub mod metrics;
+pub mod model_rev;
 pub mod report;
 pub mod runner;
 pub mod snapshot;
@@ -68,6 +69,7 @@ pub use figaro_dram::{MapKind, MapScheme};
 pub use figaro_memctrl::SchedPolicyKind;
 pub use figaro_workloads::PageMapKind;
 pub use metrics::{ChannelStats, RunStats, SampledStats};
+pub use model_rev::MODEL_REV;
 pub use runner::{Runner, Scale, Scenario, ScenarioWorkload};
 pub use snapshot::{config_hash, SnapshotHeader};
 pub use system::System;

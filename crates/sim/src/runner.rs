@@ -3,16 +3,30 @@
 //! (so benches that share runs — e.g. Figs. 7/9/10/11 — do not recompute
 //! them), and a parallel batch API over independent runs.
 //!
+//! ## Run specs
+//!
+//! Every run is named by one **spec text**: the `{:?}` rendering of
+//! [`MODEL_REV`], the resolved [`SystemConfig`] (kernel included), each
+//! core's load (generator inputs, or the scenario workload and arrival
+//! pacing — never a materialised trace), the per-core instruction
+//! targets, the cycle cap and the warmup. Derived `Debug` covers every
+//! field and prints floats as their shortest round-tripping text, so two
+//! runs that simulate anything differently get different specs. The
+//! result-cache file is named by the spec's 64-bit FNV-1a hash and stores
+//! the spec on its first line; a file is served only when that line
+//! equals the requested spec, so a hash collision or a stale file costs a
+//! re-simulation, never a wrong result.
+//!
 //! ## Parallel batches
 //!
 //! Every run is a pure function of `(scale, workload, config)`, so
 //! independent runs parallelize trivially. The `*_batch` / `*_matrix`
 //! methods fan a job list out over rayon and return results **in input
 //! order**, which makes a parallel batch bit-identical to the equivalent
-//! serial loop — same `RunSummary` values, same cache keys, same on-disk
+//! serial loop — same `RunSummary` values, same run specs, same on-disk
 //! cache contents. The on-disk cache is safe under this concurrency: a
-//! process-wide per-key mutex serializes compute-and-publish per cache
-//! key (so duplicate jobs in one batch compute once), and files are
+//! process-wide per-file mutex serializes compute-and-publish per cache
+//! file (so duplicate jobs in one batch compute once), and files are
 //! published with a write-temp-then-rename so concurrent *processes*
 //! never observe torn files.
 //!
@@ -36,6 +50,8 @@ use figaro_memctrl::SchedPolicyKind;
 
 use crate::config::{ConfigKind, Kernel, SystemConfig};
 use crate::metrics::{ChannelStats, RunStats};
+use crate::model_rev::MODEL_REV;
+use crate::snapshot::key_hash;
 use crate::system::System;
 
 /// Simulation scale: instructions per core.
@@ -91,7 +107,7 @@ impl Scale {
         self.target_insts() * 400
     }
 
-    /// Label for cache keys and reports.
+    /// Label for reports.
     #[must_use]
     pub fn label(&self) -> &'static str {
         match self {
@@ -310,20 +326,6 @@ pub fn idle_companion_trace() -> Trace {
     }
 }
 
-/// Reads `FIGARO_WARMUP` (warm-start CPU cycles; unset, empty or `0`
-/// disables warm-start). Malformed values abort loudly — a typo that
-/// silently ran cold would skew every number in a warm sweep.
-fn warmup_from_env() -> Option<u64> {
-    match std::env::var("FIGARO_WARMUP") {
-        Ok(raw) if !raw.is_empty() => {
-            let parsed = raw.parse::<u64>();
-            assert!(parsed.is_ok(), "FIGARO_WARMUP must be a CPU-cycle count, got `{raw}`");
-            parsed.ok().filter(|&w| w > 0)
-        }
-        _ => None,
-    }
-}
-
 /// Deterministic per-run trace seed.
 fn seed_for(app: &str, core: usize) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -392,33 +394,6 @@ impl ScenarioWorkload {
         }
     }
 
-    /// Cache-key fragment identifying the workload (so two scenarios that
-    /// reuse a name with different workloads never share a cached
-    /// result). Phased workloads include the schedule in the signature:
-    /// a reconfigured schedule is a different workload.
-    fn cache_signature(&self) -> String {
-        match self {
-            ScenarioWorkload::Apps(apps) => {
-                format!("apps.{}", apps.iter().map(|p| p.name).collect::<Vec<_>>().join("."))
-            }
-            ScenarioWorkload::Mix(m) => format!("mix.{}", m.name),
-            ScenarioWorkload::Phased(ps) => {
-                let parts: Vec<String> = ps
-                    .iter()
-                    .map(|p| {
-                        let sched: Vec<String> = p
-                            .phases
-                            .iter()
-                            .map(|ph| format!("{}{}", ph.kind.label(), ph.ops))
-                            .collect();
-                        format!("{}.{}", p.name, sched.join("-"))
-                    })
-                    .collect();
-                format!("phased.{}", parts.join("."))
-            }
-        }
-    }
-
     /// Streaming source for core `core` (deterministic per scenario).
     fn source_for(&self, core: usize) -> Box<dyn TraceSource> {
         match self {
@@ -444,9 +419,9 @@ impl ScenarioWorkload {
 /// shares the runner's result cache.
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    /// Scenario name (reports; part of the cache key together with the
-    /// workload signature and every override, so reused names with
-    /// different shapes or workloads never collide).
+    /// Scenario name (reports only: the run spec is built from what the
+    /// scenario simulates, so reused names never collide and renamed
+    /// scenarios share their cached results).
     pub name: String,
     /// Mechanism under evaluation.
     pub kind: ConfigKind,
@@ -460,28 +435,24 @@ pub struct Scenario {
     /// per-profile target). This is what long-run scenarios set.
     pub target_insts: Option<u64>,
     /// Memory-controller scheduling-policy override (default: the
-    /// runner's policy, itself FR-FCFS unless `FIGARO_SCHED` says
-    /// otherwise).
+    /// runner's policy).
     pub sched: Option<SchedPolicyKind>,
-    /// Address-mapping override (default: the runner's mapping, itself
-    /// the paper slice unless `FIGARO_MAP` says otherwise).
+    /// Address-mapping override (default: the runner's mapping).
     pub map: Option<MapKind>,
-    /// Page-placement override (default: the runner's policy, itself
-    /// identity unless `FIGARO_PAGEMAP` says otherwise).
+    /// Page-placement override (default: the runner's policy).
     pub page_map: Option<PageMapKind>,
-    /// Open-loop arrival-pacing override (default: the runner's pacing,
-    /// itself closed-loop unless `FIGARO_LOAD` says otherwise). When
-    /// set, every core's source is wrapped in an
+    /// Open-loop arrival-pacing override (default: the runner's pacing).
+    /// When set, every core's source is wrapped in an
     /// [`figaro_workloads::ArrivalSchedule`], making offered load the
     /// swept axis instead of the workload's own issue rate.
     pub arrival: Option<ArrivalKind>,
-    /// Warm-start override (default: the runner's warmup, itself off
-    /// unless `FIGARO_WARMUP` says otherwise): run the first N CPU
-    /// cycles once, snapshot the warmed state (FGSN, see
-    /// [`crate::snapshot`]), and let every later run of the same warm
-    /// prefix resume from the snapshot instead of re-simulating it.
-    /// Resumed runs are bit-identical to uninterrupted ones, but warmed
-    /// results still get their own `-warm-<N>` cache keys.
+    /// Warm-start override (default: the runner's warmup, off unless
+    /// set): run the first N CPU cycles once, snapshot the warmed state
+    /// (FGSN, see [`crate::snapshot`]), and let every later run of the
+    /// same warm prefix resume from the snapshot instead of re-simulating
+    /// it. Resumed runs are bit-identical to uninterrupted ones, but the
+    /// warmup is part of the run spec, so a cold cache entry never
+    /// depended on a snapshot file.
     pub warmup_cycles: Option<u64>,
 }
 
@@ -592,6 +563,8 @@ pub struct Runner {
     sched: SchedPolicyKind,
     map: MapKind,
     page_map: PageMapKind,
+    /// The zero-cost relocation ablation ([`figaro_memctrl::McConfig::free_reloc`]).
+    free_reloc: bool,
     /// Open-loop arrival pacing applied to **scenario** runs (the
     /// serving paths); `None` leaves sources closed-loop. The figure
     /// paths (`run_single`/`run_mix`/...) never pace — their results
@@ -601,21 +574,58 @@ pub struct Runner {
     /// [`Scenario::warmup_cycles`]); `None` runs everything cold.
     warmup: Option<u64>,
     cache_dir: Option<PathBuf>,
-    /// Where FGSN warm-state snapshots live (`FIGARO_SNAPSHOT_DIR`,
-    /// default `<cache_dir>/snapshots`); `None` disables snapshot
-    /// persistence (warmup still runs, once per process call).
+    /// Where FGSN warm-state snapshots live (default
+    /// `<cache_dir>/snapshots`); `None` disables snapshot persistence
+    /// (warmup still runs, once per process call).
     snapshot_dir: Option<PathBuf>,
 }
 
+/// What one core of a figure-path run executes: the generator's inputs
+/// (never the generated ops), or the idle companion of an alone-IPC run.
+#[derive(Debug)]
+enum CoreLoad<'a> {
+    Generated { profile: &'a AppProfile, ops: usize, seed: u64 },
+    Idle(Trace),
+}
+
+impl CoreLoad<'_> {
+    fn trace(&self) -> Trace {
+        match self {
+            CoreLoad::Generated { profile, ops, seed } => generate_trace(profile, *ops, *seed),
+            CoreLoad::Idle(trace) => trace.clone(),
+        }
+    }
+}
+
+/// What every core of a scenario run executes: the streamed workload and
+/// the arrival pacing wrapped around it.
+#[derive(Debug)]
+struct ScenarioLoad<'a> {
+    workload: &'a ScenarioWorkload,
+    arrival: Option<ArrivalKind>,
+}
+
+/// The spec text naming one run (see the module docs): everything the run
+/// simulates, rendered with derived `Debug`.
+fn run_spec(
+    cfg: &SystemConfig,
+    load: &dyn std::fmt::Debug,
+    targets: &[u64],
+    max_cycles: u64,
+    warmup: Option<u64>,
+) -> String {
+    format!(
+        "rev={MODEL_REV:016x} cfg={cfg:?} load={load:?} targets={targets:?} \
+         cap={max_cycles} warmup={warmup:?}"
+    )
+}
+
 impl Runner {
-    /// A runner at `scale` with the on-disk result cache enabled, the
-    /// kernel selected by `FIGARO_KERNEL` (default: event-driven), the
-    /// scheduling policy selected by `FIGARO_SCHED` (default: FR-FCFS),
-    /// the address mapping selected by `FIGARO_MAP` (default: the
-    /// paper's slice), the page placement selected by
-    /// `FIGARO_PAGEMAP` (default: identity) and, for scenario runs, the
-    /// open-loop arrival pacing selected by `FIGARO_LOAD` (default:
-    /// closed-loop).
+    /// A runner at `scale` with the on-disk result cache enabled and
+    /// every knob at its paper default: event kernel, FR-FCFS, the
+    /// paper's address mapping, identity page placement, closed-loop
+    /// cold scenario runs. [`Runner::from_env`] applies the `FIGARO_*`
+    /// overrides on top.
     #[must_use]
     pub fn new(scale: Scale) -> Self {
         let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -639,28 +649,106 @@ impl Runner {
     }
 
     fn build(scale: Scale, cache_dir: Option<PathBuf>) -> Self {
-        let snapshot_dir = match std::env::var("FIGARO_SNAPSHOT_DIR") {
-            Ok(dir) if !dir.is_empty() => Some(PathBuf::from(dir)),
-            _ => cache_dir.as_ref().map(|d| d.join("snapshots")),
-        };
         Self {
             scale,
-            kernel: Kernel::from_env(),
-            sched: SchedPolicyKind::from_env(),
-            map: MapKind::from_env(),
-            page_map: PageMapKind::from_env(),
-            arrival: ArrivalKind::from_env(),
-            warmup: warmup_from_env(),
+            kernel: Kernel::Event,
+            sched: SchedPolicyKind::FrFcfs,
+            map: MapKind::default(),
+            page_map: PageMapKind::Identity,
+            free_reloc: false,
+            arrival: None,
+            warmup: None,
+            snapshot_dir: cache_dir.as_ref().map(|d| d.join("snapshots")),
             cache_dir,
-            snapshot_dir,
         }
     }
 
+    /// [`Runner::new`] with the process environment's overrides applied
+    /// (see [`Runner::with_env`]).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the malformed variable and its accepted values.
+    pub fn from_env(scale: Scale) -> Result<Self, String> {
+        Self::new(scale).with_env()
+    }
+
+    /// Applies the process environment's overrides — the one place the
+    /// library reads result-affecting `FIGARO_*` variables, called by
+    /// binaries and benches at their edge: `FIGARO_KERNEL`,
+    /// `FIGARO_SCHED`, `FIGARO_MAP`, `FIGARO_PAGEMAP`, `FIGARO_LOAD`,
+    /// `FIGARO_WARMUP`, `FIGARO_FREE_RELOC` and `FIGARO_SNAPSHOT_DIR`.
+    /// Unset or empty variables keep the runner's setting.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the malformed variable and its accepted values.
+    pub fn with_env(self) -> Result<Self, String> {
+        self.with_overrides(|var| std::env::var_os(var).map(|v| v.to_string_lossy().into_owned()))
+    }
+
+    /// Applies the overrides `env_lookup` reports (`None` for an unset
+    /// variable), so tests can parse without touching the process
+    /// environment.
+    fn with_overrides(
+        mut self,
+        env_lookup: impl Fn(&str) -> Option<String>,
+    ) -> Result<Self, String> {
+        let env_var = |var: &str| env_lookup(var).filter(|v| !v.is_empty());
+        if let Some(raw) = env_var("FIGARO_KERNEL") {
+            self.kernel = Kernel::parse(&raw).ok_or_else(|| {
+                format!(
+                    "unrecognized FIGARO_KERNEL `{raw}` (use event | reference | sampled[:W,S])"
+                )
+            })?;
+        }
+        if let Some(raw) = env_var("FIGARO_SCHED") {
+            self.sched = SchedPolicyKind::from_name(&raw).ok_or_else(|| {
+                format!(
+                    "unrecognized FIGARO_SCHED `{raw}` \
+                     (use frfcfs | fcfs | frfcfs-cap<N> | wdrain<H>-<L>)"
+                )
+            })?;
+        }
+        if let Some(raw) = env_var("FIGARO_MAP") {
+            self.map = MapKind::from_name(&raw).ok_or_else(|| {
+                format!(
+                    "unrecognized FIGARO_MAP `{raw}` \
+                     (use paper | chfirst | rowint, optionally with an -xor suffix)"
+                )
+            })?;
+        }
+        if let Some(raw) = env_var("FIGARO_PAGEMAP") {
+            self.page_map = PageMapKind::from_name(&raw).ok_or_else(|| {
+                format!(
+                    "unrecognized FIGARO_PAGEMAP `{raw}` \
+                     (use ident | rand<seed> | color<N>, N a power of two)"
+                )
+            })?;
+        }
+        if let Some(raw) = env_var("FIGARO_LOAD") {
+            let kind = ArrivalKind::parse(&raw)
+                .map_err(|e| format!("unrecognized FIGARO_LOAD `{raw}`: {e}"))?;
+            self.arrival = Some(kind);
+        }
+        if let Some(raw) = env_var("FIGARO_WARMUP") {
+            let cycles = raw.parse::<u64>().map_err(|_| {
+                format!("unrecognized FIGARO_WARMUP `{raw}` (use a CPU-cycle count; 0 is cold)")
+            })?;
+            self.warmup = Some(cycles).filter(|&w| w > 0);
+        }
+        // Presence alone enables the ablation, whatever the value.
+        self.free_reloc = env_lookup("FIGARO_FREE_RELOC").is_some();
+        if let Some(dir) = env_var("FIGARO_SNAPSHOT_DIR") {
+            self.snapshot_dir = Some(PathBuf::from(dir));
+        }
+        Ok(self)
+    }
+
     /// Pins the simulation kernel for every run this runner launches
-    /// (serial and batch alike). Event-kernel results are bit-identical
-    /// to the reference, so they share the canonical cache keys;
-    /// reference runs get their own keys (see [`Runner::kernel_suffix`])
-    /// so the oracle really executes when asked for.
+    /// (serial and batch alike). The kernel is part of the run spec, so
+    /// a reference run really executes the per-cycle oracle instead of
+    /// reading an event-kernel result.
     #[must_use]
     pub fn with_kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
@@ -668,9 +756,7 @@ impl Runner {
     }
 
     /// Pins the memory-controller scheduling policy for every run this
-    /// runner launches. Non-default policies change results, so they get
-    /// their own cache keys (see [`Runner::sched_suffix`]); the FR-FCFS
-    /// default keeps the canonical keys.
+    /// runner launches.
     #[must_use]
     pub fn with_sched(mut self, sched: SchedPolicyKind) -> Self {
         self.sched = sched;
@@ -678,8 +764,7 @@ impl Runner {
     }
 
     /// Pins the physical→DRAM address mapping for every run this runner
-    /// launches. Non-default mappings change results, so they get their
-    /// own cache keys (see [`Runner::map_suffix`]).
+    /// launches.
     #[must_use]
     pub fn with_mapping(mut self, map: MapKind) -> Self {
         self.map = map;
@@ -687,8 +772,7 @@ impl Runner {
     }
 
     /// Pins the OS page-frame placement policy for every run this
-    /// runner launches. Non-identity placements change results, so they
-    /// get their own cache keys (see [`Runner::pagemap_suffix`]).
+    /// runner launches.
     #[must_use]
     pub fn with_page_map(mut self, page_map: PageMapKind) -> Self {
         self.page_map = page_map;
@@ -696,130 +780,29 @@ impl Runner {
     }
 
     /// Pins open-loop arrival pacing for every **scenario** run this
-    /// runner launches (defaults to the `FIGARO_LOAD` override, or
-    /// closed-loop when unset). Pacing changes results, so it gets its
-    /// own cache keys (see [`Runner::arrival_suffix`]).
+    /// runner launches (default: closed-loop).
     #[must_use]
     pub fn with_arrival(mut self, arrival: ArrivalKind) -> Self {
         self.arrival = Some(arrival);
         self
     }
 
-    /// Warm-starts every **scenario** run this runner launches
-    /// (defaults to the `FIGARO_WARMUP` override, or cold when unset).
-    /// Warmed runs get their own `-warm-<N>` cache keys (see
-    /// [`Runner::warm_suffix`]) even though resumption is bit-identical,
-    /// so a canonical entry is always a cold, uninterrupted run.
+    /// Warm-starts every **scenario** run this runner launches (default:
+    /// cold). The warmup is part of the run spec even though resumption
+    /// is bit-identical, so a cold cache entry never depended on a
+    /// snapshot file.
     #[must_use]
     pub fn with_warmup(mut self, cycles: u64) -> Self {
         self.warmup = Some(cycles);
         self
     }
 
-    /// Pins the FGSN snapshot directory (default: `FIGARO_SNAPSHOT_DIR`,
-    /// falling back to `<cache_dir>/snapshots`).
+    /// Pins the FGSN snapshot directory (default:
+    /// `<cache_dir>/snapshots`).
     #[must_use]
     pub fn with_snapshot_dir(mut self, dir: PathBuf) -> Self {
         self.snapshot_dir = Some(dir);
         self
-    }
-
-    /// Cache-key suffix for the non-default kernel. Without it, a
-    /// cross-check run under `FIGARO_KERNEL=reference` could silently
-    /// return a cached event-kernel result instead of exercising the
-    /// per-cycle oracle — and a `FIGARO_KERNEL=sampled` run, which is
-    /// approximate by construction, would poison the canonical entries
-    /// outright.
-    fn kernel_suffix(&self) -> String {
-        match self.kernel {
-            Kernel::Event => String::new(),
-            Kernel::Reference => "-refkernel".to_string(),
-            // Sampled results depend on the window/skip geometry, so
-            // each geometry keys separately.
-            Kernel::Sampled { window, skip } => format!("-sampled-{window},{skip}"),
-        }
-    }
-
-    /// Cache-key fragment for warm-started runs: empty for cold runs, a
-    /// `-warm-<N>` suffix otherwise. Resuming from a warm snapshot is
-    /// bit-identical to an uninterrupted run, but the suffix keeps the
-    /// invariant that a canonical cache entry never depended on a
-    /// snapshot file — a bad snapshot can at worst taint `-warm-`
-    /// entries, never the cold baselines figures are built from.
-    fn warm_suffix(warmup: Option<u64>) -> String {
-        warmup.map_or_else(String::new, |w| format!("-warm-{w}"))
-    }
-
-    /// Cache-key fragment for a scheduling policy: empty for the
-    /// FR-FCFS default (canonical keys stay stable), a labeled suffix
-    /// otherwise — a policy change alters results, so it must never
-    /// share a cached summary with the default ladder.
-    fn sched_suffix(sched: SchedPolicyKind) -> String {
-        match sched {
-            SchedPolicyKind::FrFcfs => String::new(),
-            other => format!("-sched-{}", other.label()),
-        }
-    }
-
-    /// Cache-key fragment for an address mapping: empty for the paper
-    /// default (canonical keys stay stable), a labeled suffix otherwise.
-    fn map_suffix(map: MapKind) -> String {
-        if map == MapKind::default() {
-            String::new()
-        } else {
-            format!("-map-{}", map.label())
-        }
-    }
-
-    /// Cache-key fragment for a page-placement policy: empty for the
-    /// identity default, a labeled suffix otherwise.
-    fn pagemap_suffix(page_map: PageMapKind) -> String {
-        if page_map == PageMapKind::Identity {
-            String::new()
-        } else {
-            format!("-pg-{}", page_map.label())
-        }
-    }
-
-    /// Cache-key fragment for arrival pacing: empty for the closed-loop
-    /// default (canonical scenario keys stay stable), a labeled suffix
-    /// otherwise — a paced run must never share a cached summary with
-    /// the closed-loop run of the same scenario.
-    fn arrival_suffix(arrival: Option<ArrivalKind>) -> String {
-        arrival.map_or_else(String::new, |a| format!("-arr-{}", a.label()))
-    }
-
-    /// Cache-key fragment for the `FIGARO_FREE_RELOC` debug ablation:
-    /// empty normally, `-freereloc` when the ablation is active. The
-    /// toggle changes relocation accounting (and therefore results), so
-    /// without this suffix an ablated run would poison — or be poisoned
-    /// by — the canonical cache entries.
-    fn freereloc_suffix() -> &'static str {
-        Self::ablation_suffix_for(figaro_memctrl::free_reloc_active())
-    }
-
-    /// Pure mapping behind [`Self::freereloc_suffix`], split out so tests
-    /// can cover both arms without mutating process environment.
-    fn ablation_suffix_for(active: bool) -> &'static str {
-        if active {
-            "-freereloc"
-        } else {
-            ""
-        }
-    }
-
-    /// All non-canonical cache-key suffixes of this runner's fixed
-    /// configuration (kernel, scheduler, mapping, page placement,
-    /// debug ablations).
-    fn config_suffixes(&self) -> String {
-        format!(
-            "{}{}{}{}{}",
-            self.kernel_suffix(),
-            Self::sched_suffix(self.sched),
-            Self::map_suffix(self.map),
-            Self::pagemap_suffix(self.page_map),
-            Self::freereloc_suffix()
-        )
     }
 
     /// The runner's scale.
@@ -852,21 +835,39 @@ impl Runner {
         self.page_map
     }
 
+    /// The open-loop arrival pacing of this runner's scenario runs
+    /// (`None`: closed-loop).
+    #[must_use]
+    pub fn arrival(&self) -> Option<ArrivalKind> {
+        self.arrival
+    }
+
     /// A [`SystemConfig::paper`] system with this runner's kernel,
-    /// scheduling policy, address mapping and page placement.
-    fn system_config(&self, cores: usize, kind: ConfigKind) -> SystemConfig {
-        SystemConfig { kernel: self.kernel, ..SystemConfig::paper(cores, kind) }
+    /// scheduling policy, address mapping, page placement and
+    /// relocation ablation — the config every run of this runner uses.
+    #[must_use]
+    pub fn system_config(&self, cores: usize, kind: ConfigKind) -> SystemConfig {
+        let mut cfg = SystemConfig { kernel: self.kernel, ..SystemConfig::paper(cores, kind) }
             .with_sched(self.sched)
             .with_mapping(self.map)
-            .with_page_map(self.page_map)
+            .with_page_map(self.page_map);
+        cfg.mc.free_reloc = self.free_reloc;
+        cfg
+    }
+
+    /// Instructions a core running `profile` retires at this runner's
+    /// scale (see [`insts_for`]).
+    #[must_use]
+    pub fn target_insts(&self, profile: &AppProfile) -> u64 {
+        insts_for(profile, self.scale)
     }
 
     /// The process-wide per-cache-file lock: concurrent batch workers
-    /// that land on the same `(cache_dir, key)` serialize here, so the
-    /// first computes and publishes while the rest read the published
-    /// file. Entries are never evicted — the registry is bounded by the
-    /// number of distinct run keys in a process (a few hundred for the
-    /// full sweep set, each a few dozen bytes).
+    /// that land on the same cache file serialize here, so the first
+    /// computes and publishes while the rest read the published file.
+    /// Entries are never evicted — the registry is bounded by the number
+    /// of distinct runs in a process (a few hundred for the full sweep
+    /// set, each a few dozen bytes).
     fn key_lock(path: &std::path::Path) -> Arc<Mutex<()>> {
         static LOCKS: OnceLock<Mutex<HashMap<PathBuf, Arc<Mutex<()>>>>> = OnceLock::new();
         LOCKS
@@ -878,17 +879,23 @@ impl Runner {
             .clone()
     }
 
-    fn cached<F: FnOnce() -> RunSummary>(&self, key: &str, run: F) -> RunSummary {
+    /// Serves the run named by `spec` from the result cache, or runs it
+    /// and publishes the result. The file is named by the spec's hash and
+    /// holds the spec on its first line; a file whose first line differs
+    /// (a hash collision, or an entry from an older model revision) is
+    /// re-simulated and replaced.
+    fn cached<F: FnOnce() -> RunSummary>(&self, spec: &str, run: F) -> RunSummary {
         let Some(dir) = &self.cache_dir else { return run() };
-        let safe: String = key
-            .chars()
-            .map(|c| if c.is_alphanumeric() || c == '-' || c == '.' { c } else { '_' })
-            .collect();
-        let path = dir.join(format!("{safe}.txt"));
+        let name = format!("{:016x}", key_hash(spec));
+        let path = dir.join(format!("{name}.txt"));
         let lock = Self::key_lock(&path);
         let _guard = lock.lock().expect("cache key lock never poisoned");
         if let Ok(text) = fs::read_to_string(&path) {
-            if let Some(s) = RunSummary::from_text(&text) {
+            if let Some(s) = text
+                .split_once('\n')
+                .filter(|(stored, _)| *stored == spec)
+                .and_then(|(_, body)| RunSummary::from_text(body))
+            {
                 return s;
             }
         }
@@ -896,99 +903,73 @@ impl Runner {
         let _ = fs::create_dir_all(dir);
         // Publish atomically (temp + rename) so a concurrent reader in
         // another process never sees a torn file.
-        let tmp = dir.join(format!("{safe}.{}.tmp", std::process::id()));
-        if fs::write(&tmp, s.to_text()).is_ok() {
+        let tmp = dir.join(format!("{name}.{}.tmp", std::process::id()));
+        if fs::write(&tmp, format!("{spec}\n{}", s.to_text())).is_ok() {
             let _ = fs::rename(&tmp, &path);
         }
         s
     }
 
+    /// The generator inputs of `profile` on logical core `core`.
+    fn generated<'a>(&self, profile: &'a AppProfile, core: usize) -> CoreLoad<'a> {
+        CoreLoad::Generated {
+            profile,
+            ops: ops_for(profile, insts_for(profile, self.scale)),
+            seed: seed_for(profile.name, core),
+        }
+    }
+
     /// Trace for `profile` on logical core `core`.
     #[must_use]
     pub fn trace_for(&self, profile: &AppProfile, core: usize) -> Trace {
-        generate_trace(
-            profile,
-            ops_for(profile, insts_for(profile, self.scale)),
-            seed_for(profile.name, core),
-        )
+        self.generated(profile, core).trace()
+    }
+
+    /// Runs a figure-path system (`cfg`, one load per core, per-core
+    /// `targets`) through the result cache, capped at 400 cycles per
+    /// instruction of the largest target.
+    fn run_loads(&self, cfg: SystemConfig, loads: &[CoreLoad<'_>], targets: &[u64]) -> RunSummary {
+        let max_cycles = targets.iter().max().copied().unwrap_or(1) * 400;
+        let spec = run_spec(&cfg, &loads, targets, max_cycles, None);
+        self.cached(&spec, || {
+            let traces = loads.iter().map(CoreLoad::trace).collect();
+            let mut sys = System::new(cfg, traces, targets);
+            RunSummary::from_stats(&sys.run(max_cycles))
+        })
     }
 
     /// Runs one application on the single-core system under `kind`.
     pub fn run_single(&self, profile: &AppProfile, kind: ConfigKind) -> RunSummary {
-        let key = format!(
-            "{}-1core-{}-{}{}",
-            self.scale.label(),
-            profile.name,
-            config_key(&kind),
-            self.config_suffixes()
-        );
         let insts = insts_for(profile, self.scale);
-        let cfg = self.system_config(1, kind);
-        self.cached(&key, || {
-            let mut sys = System::new(cfg, vec![self.trace_for(profile, 0)], &[insts]);
-            RunSummary::from_stats(&sys.run(insts * 400))
-        })
+        self.run_loads(self.system_config(1, kind), &[self.generated(profile, 0)], &[insts])
     }
 
     /// Runs an eight-application mix under `kind`.
     pub fn run_mix(&self, mix: &Mix, kind: ConfigKind) -> RunSummary {
-        let key = format!(
-            "{}-8core-{}-{}{}",
-            self.scale.label(),
-            mix.name,
-            config_key(&kind),
-            self.config_suffixes()
-        );
+        let loads: Vec<CoreLoad<'_>> =
+            mix.apps.iter().enumerate().map(|(i, p)| self.generated(p, i)).collect();
         let targets: Vec<u64> = mix.apps.iter().map(|p| insts_for(p, self.scale)).collect();
-        let max_cycles = targets.iter().max().copied().unwrap_or(1) * 400;
-        let cfg = self.system_config(8, kind);
-        self.cached(&key, || {
-            let traces: Vec<Trace> =
-                mix.apps.iter().enumerate().map(|(i, p)| self.trace_for(p, i)).collect();
-            let mut sys = System::new(cfg, traces, &targets);
-            RunSummary::from_stats(&sys.run(max_cycles))
-        })
+        self.run_loads(self.system_config(8, kind), &loads, &targets)
     }
 
     /// Runs a multithreaded workload: eight threads of one program sharing
     /// a footprint (different seeds ⇒ different interleavings of the same
     /// address space).
     pub fn run_multithreaded(&self, profile: &AppProfile, kind: ConfigKind) -> RunSummary {
-        let key = format!(
-            "{}-8mt-{}-{}{}",
-            self.scale.label(),
-            profile.name,
-            config_key(&kind),
-            self.config_suffixes()
-        );
+        let loads: Vec<CoreLoad<'_>> = (0..8).map(|i| self.generated(profile, i)).collect();
         let insts = insts_for(profile, self.scale);
-        let cfg = self.system_config(8, kind);
-        self.cached(&key, || {
-            let traces: Vec<Trace> = (0..8).map(|i| self.trace_for(profile, i)).collect();
-            let mut sys = System::new(cfg, traces, &[insts; 8]);
-            RunSummary::from_stats(&sys.run(insts * 400))
-        })
+        self.run_loads(self.system_config(8, kind), &loads, &[insts; 8])
     }
 
     /// IPC of `profile` running **alone** on the eight-core Base system
     /// (the denominator of weighted speedup).
     pub fn alone_ipc(&self, profile: &AppProfile) -> f64 {
-        let key =
-            format!("{}-alone-{}{}", self.scale.label(), profile.name, self.config_suffixes());
-        let insts = insts_for(profile, self.scale);
-        let cfg = self.system_config(8, ConfigKind::Base);
-        let summary = self.cached(&key, || {
-            let mut traces = vec![self.trace_for(profile, 0)];
-            // Seven idle companion cores.
-            for _ in 1..8 {
-                traces.push(idle_companion_trace());
-            }
-            let mut targets = vec![insts];
-            targets.extend([IDLE_COMPANION_TARGET; 7]);
-            let mut sys = System::new(cfg, traces, &targets);
-            RunSummary::from_stats(&sys.run(insts * 400))
-        });
-        summary.ipc[0]
+        // Seven idle companion cores.
+        let mut loads = vec![self.generated(profile, 0)];
+        loads.extend((1..8).map(|_| CoreLoad::Idle(idle_companion_trace())));
+        let mut targets = vec![insts_for(profile, self.scale)];
+        targets.extend([IDLE_COMPANION_TARGET; 7]);
+        self.run_loads(self.system_config(8, ConfigKind::Base), &loads, &targets).ipc[0]
     }
 
     /// Runs one [`Scenario`]: builds the system shape (paper defaults plus
@@ -997,37 +978,13 @@ impl Runner {
     pub fn run_scenario(&self, sc: &Scenario) -> RunSummary {
         let cores = sc.workload.cores();
         assert!(cores > 0, "scenario needs at least one core");
-        let sched = sc.sched.unwrap_or(self.sched);
-        let map = sc.map.unwrap_or(self.map);
-        let page_map = sc.page_map.unwrap_or(self.page_map);
         let arrival = sc.arrival.or(self.arrival);
         let warmup = sc.warmup_cycles.or(self.warmup).filter(|&w| w > 0);
-        // Everything that determines the simulated state, *except* the
-        // kernel and warm-start: the exact kernels are bit-identical and
-        // warmup always runs exactly, so every kernel (and every sampled
-        // geometry) branches from one snapshot of this warm prefix.
-        let base = format!(
-            "{}-scn-{}-{}-{}-ch{}-m{}-t{}{}{}{}{}{}",
-            self.scale.label(),
-            sc.name,
-            sc.workload.cache_signature(),
-            config_key(&sc.kind),
-            sc.channels.map_or_else(|| "def".into(), |c| c.to_string()),
-            sc.mshrs_per_core.map_or_else(|| "def".into(), |m| m.to_string()),
-            sc.target_insts.map_or_else(|| "def".into(), |t| t.to_string()),
-            Self::sched_suffix(sched),
-            Self::map_suffix(map),
-            Self::pagemap_suffix(page_map),
-            Self::arrival_suffix(arrival),
-            Self::freereloc_suffix()
-        );
-        let key = format!("{base}{}{}", self.kernel_suffix(), Self::warm_suffix(warmup));
-        let warm_key = warmup.map(|w| format!("{base}-w{w}"));
         let mut cfg = self
             .system_config(cores, sc.kind.clone())
-            .with_sched(sched)
-            .with_mapping(map)
-            .with_page_map(page_map);
+            .with_sched(sc.sched.unwrap_or(self.sched))
+            .with_mapping(sc.map.unwrap_or(self.map))
+            .with_page_map(sc.page_map.unwrap_or(self.page_map));
         if let Some(ch) = sc.channels {
             cfg = cfg.with_channels(ch);
         }
@@ -1041,13 +998,14 @@ impl Runner {
             })
             .collect();
         let max_cycles = targets.iter().max().copied().unwrap_or(1).saturating_mul(400);
-        let workload = sc.workload.clone();
-        self.cached(&key, move || {
+        let load = ScenarioLoad { workload: &sc.workload, arrival };
+        let spec = run_spec(&cfg, &load, &targets, max_cycles, warmup);
+        self.cached(&spec, || {
             let build = |cfg: SystemConfig| -> System {
                 let sources: Vec<Box<dyn TraceSource>> = (0..cores)
                     .map(|c| {
-                        let src = workload.source_for(c);
-                        match arrival {
+                        let src = load.workload.source_for(c);
+                        match load.arrival {
                             // Per-core seeds tied to the arrival label, so
                             // cores draw independent gap streams and a kind
                             // change redraws them.
@@ -1063,36 +1021,42 @@ impl Runner {
                 System::from_sources(cfg, sources, &targets)
             };
             let mut sys = build(cfg.clone());
-            if let (Some(w), Some(wkey)) = (warmup, &warm_key) {
-                self.warm_start(&mut sys, &cfg, w.min(max_cycles), wkey, &build);
+            if let Some(w) = warmup {
+                // The warm prefix is its own run: the exact event kernel
+                // (so one snapshot serves every kernel and sampled
+                // geometry) capped at the warmup.
+                let warm_cycles = w.min(max_cycles);
+                let warm_cfg = SystemConfig { kernel: Kernel::Event, ..cfg.clone() };
+                let warm_spec = run_spec(&warm_cfg, &load, &targets, warm_cycles, None);
+                self.warm_start(&mut sys, warm_cfg, warm_cycles, &warm_spec, &build);
             }
             RunSummary::from_stats(&sys.run(max_cycles))
         })
     }
 
     /// Brings `sys` to the scenario's warm point: restores the FGSN
-    /// snapshot for `warm_key` when one exists, otherwise simulates the
-    /// warm prefix once — under the exact event kernel, so a snapshot
-    /// never embeds sampled-mode approximation — and publishes the
-    /// snapshot for every later run sharing the prefix. `build` must
+    /// snapshot named by `warm_spec` when one exists, otherwise simulates
+    /// the warm prefix once under `warm_cfg` (the event kernel, so a
+    /// snapshot never embeds sampled-mode approximation) and publishes
+    /// the snapshot for every later run sharing the prefix. `build` must
     /// reconstruct the system from the same run description (fresh
     /// deterministic sources).
     fn warm_start<F: Fn(SystemConfig) -> System>(
         &self,
         sys: &mut System,
-        cfg: &SystemConfig,
+        warm_cfg: SystemConfig,
         warm_cycles: u64,
-        warm_key: &str,
+        warm_spec: &str,
         build: &F,
     ) {
-        let path = self.snapshot_path(warm_key);
+        let path = self.snapshot_path(warm_spec);
         if let Some(p) = &path {
             if crate::snapshot::restore(sys, p).is_ok() {
                 sys.note_warm_resume();
                 return;
             }
         }
-        let mut warm = build(SystemConfig { kernel: Kernel::Event, ..cfg.clone() });
+        let mut warm = build(warm_cfg);
         let _ = warm.run(warm_cycles);
         if let Some(p) = &path {
             if let Some(dir) = p.parent() {
@@ -1108,14 +1072,11 @@ impl Runner {
         sys.note_warm_resume();
     }
 
-    /// On-disk location of the FGSN snapshot for a warm-prefix key
-    /// (`None` when snapshot persistence is disabled). The key is
-    /// FNV-hashed into the filename: warm keys repeat the whole scenario
-    /// key and overflow comfortable filename lengths.
-    fn snapshot_path(&self, warm_key: &str) -> Option<PathBuf> {
-        self.snapshot_dir
-            .as_ref()
-            .map(|d| d.join(format!("{:016x}.fgsn", crate::snapshot::key_hash(warm_key))))
+    /// On-disk location of the FGSN snapshot for a warm-prefix spec
+    /// (`None` when snapshot persistence is disabled): the spec's FNV-1a
+    /// hash, as for result-cache files.
+    fn snapshot_path(&self, warm_spec: &str) -> Option<PathBuf> {
+        self.snapshot_dir.as_ref().map(|d| d.join(format!("{:016x}.fgsn", key_hash(warm_spec))))
     }
 
     /// Runs a batch of scenarios in parallel; results in input order,
@@ -1190,37 +1151,10 @@ impl Runner {
     }
 }
 
-fn config_key(kind: &ConfigKind) -> String {
-    match kind {
-        ConfigKind::FigCacheCustom(c) => {
-            format!(
-                "custom-r{}-b{}-{:?}-t{}-{}",
-                c.cache_rows_per_bank,
-                c.blocks_per_segment,
-                c.replacement,
-                c.insertion.miss_threshold,
-                match c.region {
-                    figaro_core::CacheRegion::FastSubarrays => "fast",
-                    figaro_core::CacheRegion::ReservedSlowRows => "slow",
-                }
-            )
-        }
-        other => other.label().to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use figaro_workloads::profile_by_name;
-
-    #[test]
-    fn freereloc_ablation_gets_its_own_cache_keys() {
-        // Both arms of the env-derived suffix, without mutating the
-        // process environment (tests run in parallel).
-        assert_eq!(Runner::ablation_suffix_for(false), "");
-        assert_eq!(Runner::ablation_suffix_for(true), "-freereloc");
-    }
 
     #[test]
     fn summary_round_trips_through_text() {
@@ -1293,10 +1227,7 @@ mod tests {
         // The satellite-2 contract end to end: write a summary through
         // the on-disk cache, read it back, and require full bit equality
         // with the freshly computed run (floats included).
-        let dir = std::env::temp_dir()
-            .join(format!("figaro-cache-test-{}", std::process::id()))
-            .join("exact");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = test_cache_dir("exact");
         let sc = Scenario::new(
             "exactness",
             ConfigKind::FigCacheFast,
@@ -1314,7 +1245,7 @@ mod tests {
             }
             assert_eq!(s.avg_read_latency.to_bits(), fresh.avg_read_latency.to_bits());
         }
-        let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1385,13 +1316,10 @@ mod tests {
 
     #[test]
     fn shared_cache_dedups_duplicate_jobs_and_survives_reload() {
-        let dir = std::env::temp_dir()
-            .join(format!("figaro-cache-test-{}", std::process::id()))
-            .join("dedup");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = test_cache_dir("dedup");
         let runner = Runner::with_cache_dir(Scale::Tiny, dir.clone());
         let p = profile_by_name("grep").unwrap();
-        // Four copies of the same job racing over one cache key.
+        // Four copies of the same job racing over one cache file.
         let jobs = vec![(p, ConfigKind::Base); 4];
         let out = runner.run_single_batch(&jobs);
         assert!(out.windows(2).all(|w| w[0] == w[1]), "duplicates must agree");
@@ -1405,7 +1333,7 @@ mod tests {
         // A fresh runner over the same dir must load the identical summary.
         let reloaded = Runner::with_cache_dir(Scale::Tiny, dir.clone());
         assert_eq!(reloaded.run_single(&p, ConfigKind::Base), out[0]);
-        let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1462,10 +1390,7 @@ mod tests {
     fn scenario_cache_keys_distinguish_workloads() {
         // Two scenarios reusing a name with different workloads must not
         // share a cached result.
-        let dir = std::env::temp_dir()
-            .join(format!("figaro-cache-test-{}", std::process::id()))
-            .join("scn");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = test_cache_dir("scn");
         let runner = Runner::with_cache_dir(Scale::Tiny, dir.clone());
         let sc = |app: &str| {
             Scenario::new(
@@ -1484,7 +1409,190 @@ mod tests {
             sjeng.mpki[0],
             mcf.mpki[0]
         );
-        let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A fresh cache directory for one test. Tests run in parallel, so
+    /// each owns a top-level temp directory and removes only that.
+    fn test_cache_dir(leaf: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("figaro-cache-test-{}-{leaf}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn phased_scenarios_over_different_bases_never_share_a_result() {
+        // Same scenario name, same phase schedule, same workload name:
+        // only the base profile differs, and that alone must key apart.
+        let phased = |base: &str| {
+            let p = PhasedProfile {
+                name: "phased-twin".into(),
+                ..PhasedProfile::standard(profile_by_name(base).unwrap(), 2_000)
+            };
+            Scenario::new("twin", ConfigKind::Base, ScenarioWorkload::Phased(vec![p]))
+                .with_target_insts(10_000)
+        };
+        let dir = test_cache_dir("phased-twin");
+        let runner = Runner::with_cache_dir(Scale::Tiny, dir.clone());
+        let mcf = runner.run_scenario(&phased("mcf"));
+        let lbm = runner.run_scenario(&phased("lbm"));
+        assert_eq!(lbm, Runner::uncached(Scale::Tiny).run_scenario(&phased("lbm")));
+        assert_ne!(mcf, lbm, "the lbm-based scenario was served the mcf-based result");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cache_file_with_a_different_spec_is_resimulated_and_replaced() {
+        let dir = test_cache_dir("stale-spec");
+        let runner = Runner::with_cache_dir(Scale::Tiny, dir.clone());
+        let p = profile_by_name("sjeng").unwrap();
+        let fresh = runner.run_single(&p, ConfigKind::Base);
+        let files: Vec<PathBuf> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        assert_eq!(files.len(), 1, "{files:?}");
+        let published = std::fs::read_to_string(&files[0]).unwrap();
+        let spec = published.lines().next().unwrap();
+        // Plant well-formed summaries of some other run at this run's path:
+        // one under another spec (a hash collision or an older model
+        // revision) and one with no spec line at all (an older format).
+        let mut other = fresh.clone();
+        other.cpu_cycles += 1;
+        for planted in [format!("{spec} (another run)\n{}", other.to_text()), other.to_text()] {
+            std::fs::write(&files[0], planted).unwrap();
+            let rerun =
+                Runner::with_cache_dir(Scale::Tiny, dir.clone()).run_single(&p, ConfigKind::Base);
+            assert_eq!(rerun, fresh, "a file holding another run was served");
+            let now = std::fs::read_to_string(&files[0]).unwrap();
+            assert_eq!(now, published, "file not replaced");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_result_affecting_knob_changes_the_spec() {
+        // One scenario-shaped run description, then one flip per knob:
+        // each flip must change the spec text.
+        struct Run {
+            cfg: SystemConfig,
+            arrival: Option<ArrivalKind>,
+            targets: Vec<u64>,
+            warmup: Option<u64>,
+        }
+        type Flip = fn(&mut Run);
+        let workload = ScenarioWorkload::Apps(vec![profile_by_name("mcf").unwrap()]);
+        let spec = |r: &Run| {
+            let load = ScenarioLoad { workload: &workload, arrival: r.arrival };
+            run_spec(&r.cfg, &load, &r.targets, 4_000_000, r.warmup)
+        };
+        let base = || Run {
+            cfg: Runner::uncached(Scale::Tiny).system_config(2, ConfigKind::FigCacheFast),
+            arrival: None,
+            targets: vec![10_000, 10_000],
+            warmup: None,
+        };
+        let flips: Vec<(&str, Flip)> = vec![
+            ("kernel", |r| r.cfg.kernel = Kernel::Reference),
+            ("sched", |r| r.cfg.mc.sched = SchedPolicyKind::Fcfs),
+            ("map", |r| r.cfg.mc.map = MapKind::from_name("rowint").unwrap()),
+            ("page_map", |r| r.cfg.page_map = PageMapKind::Color { colors: 16 }),
+            ("channels", |r| r.cfg.channels = 2),
+            ("mshrs_per_core", |r| r.cfg.hierarchy.mshrs_per_core = 16),
+            ("read_queue_cap", |r| r.cfg.mc.read_queue_cap = 32),
+            ("enable_refresh", |r| r.cfg.mc.enable_refresh = false),
+            ("free_reloc", |r| r.cfg.mc.free_reloc = true),
+            ("cpu_cycles_per_bus", |r| r.cfg.cpu_cycles_per_bus = 5),
+            ("arrival", |r| r.arrival = Some(ArrivalKind::Fixed { gap: 50 })),
+            ("warmup", |r| r.warmup = Some(2_000)),
+            ("target", |r| r.targets[1] = 10_001),
+        ];
+        let canonical = spec(&base());
+        for (knob, flip) in flips {
+            let mut run = base();
+            flip(&mut run);
+            assert_ne!(spec(&run), canonical, "flipping `{knob}` left the spec unchanged");
+        }
+    }
+
+    #[test]
+    fn free_reloc_is_a_plain_config_field() {
+        let run = |free_reloc: bool, kernel: Kernel| {
+            let mut cfg =
+                SystemConfig { kernel, ..SystemConfig::paper(1, ConfigKind::FigCacheFast) };
+            cfg.mc.free_reloc = free_reloc;
+            let trace = generate_trace(&profile_by_name("mcf").unwrap(), 8_000, 7);
+            let spec = run_spec(&cfg, &"mcf", &[12_000], 12_000 * 400, None);
+            (System::new(cfg, vec![trace], &[12_000]).run(12_000 * 400), spec)
+        };
+        let (off, off_spec) = run(false, Kernel::Event);
+        let (on, on_spec) = run(true, Kernel::Event);
+        assert_ne!(on, off, "the ablation must change what is simulated");
+        assert_ne!(on_spec, off_spec);
+        let (on_ref, _) = run(true, Kernel::Reference);
+        assert_eq!(on, on_ref, "event and reference kernels diverge under free_reloc");
+    }
+
+    /// [`Runner::with_overrides`] over a fixed variable table.
+    fn parsed(vars: &[(&str, &str)]) -> Result<Runner, String> {
+        Runner::uncached(Scale::Tiny)
+            .with_overrides(|k| vars.iter().find(|(v, _)| *v == k).map(|(_, x)| (*x).to_string()))
+    }
+
+    #[test]
+    fn env_overrides_parse_and_default() {
+        let defaults = format!("{:?}", Runner::uncached(Scale::Tiny));
+        assert_eq!(format!("{:?}", parsed(&[]).unwrap()), defaults, "unset must mean paper");
+        let empty: Vec<(&str, &str)> = [
+            "FIGARO_KERNEL",
+            "FIGARO_SCHED",
+            "FIGARO_MAP",
+            "FIGARO_PAGEMAP",
+            "FIGARO_LOAD",
+            "FIGARO_WARMUP",
+            "FIGARO_SNAPSHOT_DIR",
+        ]
+        .iter()
+        .map(|v| (*v, ""))
+        .collect();
+        assert_eq!(format!("{:?}", parsed(&empty).unwrap()), defaults, "empty must mean unset");
+
+        let r = parsed(&[
+            ("FIGARO_KERNEL", "reference"),
+            ("FIGARO_SCHED", "fcfs"),
+            ("FIGARO_MAP", "rowint-xor"),
+            ("FIGARO_PAGEMAP", "color16"),
+            ("FIGARO_LOAD", "poisson:40"),
+            ("FIGARO_WARMUP", "2000"),
+            ("FIGARO_FREE_RELOC", ""),
+            ("FIGARO_SNAPSHOT_DIR", "/snaps"),
+        ])
+        .unwrap();
+        assert_eq!(r.kernel, Kernel::Reference);
+        assert_eq!(r.sched, SchedPolicyKind::Fcfs);
+        assert_eq!(r.map, MapKind::from_name("rowint-xor").unwrap());
+        assert_eq!(r.page_map, PageMapKind::Color { colors: 16 });
+        assert_eq!(r.arrival, Some(ArrivalKind::Poisson { mean_gap: 40 }));
+        assert_eq!(r.warmup, Some(2_000));
+        assert!(r.free_reloc, "presence alone enables the ablation");
+        assert!(r.system_config(1, ConfigKind::Base).mc.free_reloc, "runs must see the ablation");
+        assert_eq!(r.snapshot_dir, Some(PathBuf::from("/snaps")));
+        assert_eq!(parsed(&[("FIGARO_WARMUP", "0")]).unwrap().warmup, None, "0 means cold");
+    }
+
+    #[test]
+    fn malformed_env_overrides_are_errors_naming_the_variable() {
+        for (var, bad) in [
+            ("FIGARO_KERNEL", "parallel"),
+            ("FIGARO_SCHED", "fifo"),
+            ("FIGARO_MAP", "diagonal"),
+            ("FIGARO_PAGEMAP", "color3"),
+            ("FIGARO_LOAD", "poisson"),
+            ("FIGARO_WARMUP", "2k"),
+        ] {
+            let err = parsed(&[(var, bad)]).unwrap_err();
+            assert!(err.contains(var) && err.contains(bad), "{var}={bad}: {err}");
+            assert!(err.contains("use"), "{var}: the error must list accepted values: {err}");
+        }
     }
 
     #[test]

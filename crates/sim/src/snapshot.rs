@@ -37,10 +37,12 @@
 //! The kernel is normalized out of the hash: all exact kernels produce
 //! bit-identical state, so a snapshot taken under one is valid under any
 //! other (and is what lets a warm snapshot serve a whole sweep regardless
-//! of the kernel each point runs). Any other change to the config's
-//! `Debug` text — a field added or removed — changes the hash, so
-//! snapshots written before it no longer restore; the runner then
-//! re-simulates the warm prefix and overwrites the stale file.
+//! of the kernel each point runs). The hash also folds in
+//! [`MODEL_REV`], so a change to the config's `Debug` text — a field
+//! added or removed — or to the behaviour of a fingerprinted run (see
+//! [`crate::model_rev`]) changes it: snapshots written before no longer
+//! restore, and the runner re-simulates the warm prefix and overwrites
+//! the stale file.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -49,6 +51,7 @@ use std::path::Path;
 use figaro_workloads::{read_varint, write_varint};
 
 use crate::config::{Kernel, SystemConfig};
+use crate::model_rev::MODEL_REV;
 use crate::system::System;
 
 /// The four magic bytes opening every snapshot file.
@@ -61,8 +64,8 @@ pub const FORMAT_VERSION: u64 = 2;
 
 /// Fingerprint of the configuration that may resume a snapshot.
 ///
-/// FNV-1a over the config's `Debug` rendering, with the kernel
-/// normalized out (exact kernels are bit-identical — see the
+/// FNV-1a over [`MODEL_REV`] and the config's `Debug` rendering, with
+/// the kernel normalized out (exact kernels are bit-identical — see the
 /// kernel-equivalence suite in `system.rs`). A [`Kernel::Sampled`] run
 /// may also *resume* from a warm snapshot — its approximation starts
 /// after the exact warmup — but snapshots are only ever *written* by
@@ -71,12 +74,11 @@ pub const FORMAT_VERSION: u64 = 2;
 pub fn config_hash(cfg: &SystemConfig) -> u64 {
     let mut normalized = cfg.clone();
     normalized.kernel = Kernel::Event;
-    fnv1a(format!("{normalized:?}").as_bytes())
+    fnv1a(format!("rev={MODEL_REV:016x} {normalized:?}").as_bytes())
 }
 
-/// FNV-1a of an arbitrary key string — the runner uses it to derive
-/// snapshot filenames from warm-prefix cache keys (which repeat the
-/// whole scenario key and overflow comfortable filename lengths).
+/// FNV-1a of an arbitrary key string — the runner names result-cache
+/// files and warm snapshots by the hash of their run spec.
 #[must_use]
 pub fn key_hash(key: &str) -> u64 {
     fnv1a(key.as_bytes())

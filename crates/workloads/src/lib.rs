@@ -110,7 +110,7 @@ impl Trace {
 /// construction yields the same op sequence, which is what keeps
 /// streaming runs reproducible and replayable.
 pub trait TraceSource: std::fmt::Debug + Send {
-    /// Name of the workload the source models (reports, cache keys).
+    /// Name of the workload the source models (reports).
     fn name(&self) -> &str;
 
     /// The next operation in program order.

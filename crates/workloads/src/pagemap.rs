@@ -32,7 +32,7 @@ use crate::{TraceOp, TraceSource};
 const SCRAMBLE_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Identifies an OS page-frame placement policy — the value form
-/// carried by system configs, scenario overrides and result-cache keys.
+/// carried by system configs and scenario overrides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PageMapKind {
     /// Virtual frame = physical frame (the default).
@@ -54,7 +54,7 @@ pub enum PageMapKind {
 }
 
 impl PageMapKind {
-    /// Stable label for reports, cache keys and `FIGARO_PAGEMAP`:
+    /// Stable label for reports and `FIGARO_PAGEMAP`:
     /// `ident` | `rand<seed>` | `color<N>`.
     #[must_use]
     pub fn label(&self) -> String {
@@ -86,32 +86,6 @@ impl PageMapKind {
             return Some(PageMapKind::Color { colors });
         }
         None
-    }
-
-    /// Reads `FIGARO_PAGEMAP` (a [`PageMapKind::from_name`] label),
-    /// defaulting to [`PageMapKind::Identity`] when unset. Read once per
-    /// process — the selector sits on system-construction paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized value: the override exists to pick the
-    /// placement under study, so a typo must fail loudly rather than
-    /// silently measure the default.
-    #[must_use]
-    pub fn from_env() -> Self {
-        static PAGEMAP: std::sync::OnceLock<PageMapKind> = std::sync::OnceLock::new();
-        *PAGEMAP.get_or_init(|| {
-            let raw = std::env::var("FIGARO_PAGEMAP").unwrap_or_default();
-            if raw.is_empty() {
-                return PageMapKind::Identity;
-            }
-            PageMapKind::from_name(&raw).unwrap_or_else(|| {
-                panic!(
-                    "unrecognized FIGARO_PAGEMAP `{raw}` \
-                     (use ident | rand<seed> | color<N>, N a power of two)"
-                )
-            })
-        })
     }
 }
 

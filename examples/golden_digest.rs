@@ -5,15 +5,8 @@
 //! `cargo run --release --example golden_digest` whenever a PR
 //! *intentionally* changes controller behavior, and say so in the PR.
 
-use figaro_sim::{ConfigKind, Kernel, MapKind, PageMapKind, System, SystemConfig};
+use figaro_sim::{ConfigKind, Kernel, System, SystemConfig};
 use figaro_workloads::{generate_trace, profile_by_name, Trace};
-
-/// Pins the placement defaults explicitly: `SystemConfig::paper` reads
-/// `FIGARO_MAP` / `FIGARO_PAGEMAP`, and a lingering env override must
-/// not skew regenerated goldens.
-fn pinned(cfg: SystemConfig) -> SystemConfig {
-    cfg.with_mapping(MapKind::paper()).with_page_map(PageMapKind::Identity)
-}
 
 fn main() {
     // Longer single-core mcf runs that actually drain writes.
@@ -21,7 +14,7 @@ fn main() {
         for kernel in [Kernel::Reference, Kernel::Event] {
             let p = profile_by_name("mcf").unwrap();
             let trace = generate_trace(&p, 30_000, 42);
-            let cfg = pinned(SystemConfig { kernel, ..SystemConfig::paper(1, kind.clone()) });
+            let cfg = SystemConfig { kernel, ..SystemConfig::paper(1, kind.clone()) };
             let mut sys = System::new(cfg, vec![trace], &[60_000]);
             let s = sys.run(60_000 * 400);
             println!(
@@ -55,8 +48,7 @@ fn main() {
                     })
                     .collect();
                 let insts = 12_000u64;
-                let cfg =
-                    pinned(SystemConfig { kernel, ..SystemConfig::paper(cores, kind.clone()) });
+                let cfg = SystemConfig { kernel, ..SystemConfig::paper(cores, kind.clone()) };
                 let mut sys = System::new(cfg, traces, &vec![insts; cores]);
                 let s = sys.run(insts * 400);
                 println!(

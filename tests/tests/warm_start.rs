@@ -4,7 +4,7 @@
 //! snapshot must be written once and reused by every run sharing the
 //! warm prefix — including other kernels — a stale snapshot must be
 //! re-simulated and replaced rather than restored, and warmed results must
-//! key separately in the result cache so canonical entries stay cold.
+//! carry their warmup in the run spec so canonical entries stay cold.
 
 use std::path::{Path, PathBuf};
 
@@ -137,15 +137,21 @@ fn warm_and_sampled_runs_key_separately_in_result_cache() {
         .run_scenario(&scenario());
     assert_eq!(warm, cold);
 
-    let names: Vec<String> = std::fs::read_dir(&cache)
+    // Each cache file stores its run spec on the first line.
+    let specs: Vec<String> = std::fs::read_dir(&cache)
         .unwrap()
         .filter_map(Result::ok)
         .filter(|e| e.path().extension().is_some_and(|x| x == "txt"))
-        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .map(|e| {
+            let text = std::fs::read_to_string(e.path()).unwrap();
+            text.lines().next().unwrap_or_default().to_owned()
+        })
         .collect();
-    assert_eq!(names.len(), 3, "cold, warm and sampled must key separately: {names:?}");
-    assert_eq!(names.iter().filter(|n| n.contains("-warm-2000")).count(), 1, "{names:?}");
-    assert_eq!(names.iter().filter(|n| n.contains("-sampled-4000_8000")).count(), 1, "{names:?}");
+    assert_eq!(specs.len(), 3, "cold, warm and sampled must key separately: {specs:?}");
+    let count = |needle: &str| specs.iter().filter(|s| s.contains(needle)).count();
+    assert_eq!(count("warmup=Some(2000)"), 1, "{specs:?}");
+    assert_eq!(count("kernel: Sampled { window: 4000, skip: 8000 }"), 1, "{specs:?}");
+    assert_eq!(count("warmup=None"), 2, "{specs:?}");
 
     // The warm snapshot defaulted to <cache_dir>/snapshots.
     assert_eq!(fgsn_count(&cache.join("snapshots")), 1);
