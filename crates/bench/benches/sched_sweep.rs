@@ -1,21 +1,14 @@
-//! `sched_sweep` — the scheduling subsystem's bench: indexed queues vs
-//! the flat-scan baseline, per-policy behavior, and the policy ×
-//! mechanism × workload sweep.
+//! `sched_sweep` — the scheduling subsystem's bench: per-policy
+//! behavior and the policy × mechanism × workload sweep.
 //!
-//! Three sections:
+//! Two sections:
 //!
-//! 1. **Indexed vs flat** — the backlog-saturation shape (8 memory-
-//!    intensive cores with 16 MSHRs each contending for one channel, so
-//!    the 64-entry queues run full — the regime where the event kernel
-//!    used to burn its time in queue scans) runs under the event kernel
-//!    with the per-bank indexed queues and with `McConfig::flat_scan`
-//!    (the pre-refactor scans, kept as an honest baseline). [`SAMPLES`]
-//!    interleaved pairs, median per-pair ratio, `RunStats` asserted
-//!    bit-identical.
-//! 2. **Policies** — one timed run per [`SchedPolicyKind`] on the same
-//!    shape (policies legitimately change results; throughput and
-//!    row-hit rate are reported alongside wall time).
-//! 3. **Sweep** — `experiments::scheduler_sweep` at the bench scale,
+//! 1. **Policies** — one timed run per [`SchedPolicyKind`] on the
+//!    backlog-saturation shape (8 memory-intensive cores with 16 MSHRs
+//!    each contending for one channel, so the 64-entry queues run full;
+//!    policies legitimately change results, so throughput and row-hit
+//!    rate are reported alongside wall time).
+//! 2. **Sweep** — `experiments::scheduler_sweep` at the bench scale,
 //!    printed and exported to `BENCH_sched_sweep.csv`.
 //!
 //! Everything lands in `BENCH_sched.json` at the workspace root so the
@@ -32,13 +25,10 @@ use figaro_sim::experiments::{sched_policies, scheduler_sweep};
 use figaro_sim::{ConfigKind, Kernel, RunStats, Scale, SchedPolicyKind, System, SystemConfig};
 use figaro_workloads::{generate_trace, profile_by_name, Trace};
 
-const SAMPLES: usize = 5;
-
-/// One run of the backlog-saturation shape (event kernel): eight
-/// memory-intensive cores with deep MSHRs all contending for a single
-/// channel, so the 64-entry queues actually run full — the regime whose
-/// per-entry scans the per-bank indexes replace.
-fn run_backlog(kind: &ConfigKind, sched: SchedPolicyKind, flat_scan: bool) -> (RunStats, f64) {
+/// One FIGCache-Fast run of the backlog-saturation shape (event
+/// kernel): eight memory-intensive cores with deep MSHRs all contending for a single
+/// channel, so the 64-entry queues actually run full.
+fn run_backlog(sched: SchedPolicyKind) -> (RunStats, f64) {
     let apps = ["mcf", "com", "tigr", "mum", "lbm", "mcf", "tigr", "com"];
     let traces: Vec<Trace> = apps
         .iter()
@@ -47,11 +37,10 @@ fn run_backlog(kind: &ConfigKind, sched: SchedPolicyKind, flat_scan: bool) -> (R
         .collect();
     let mut cfg = SystemConfig {
         kernel: Kernel::Event,
-        ..figaro_bench::env_runner(Scale::Tiny).system_config(8, kind.clone())
+        ..figaro_bench::env_runner(Scale::Tiny).system_config(8, ConfigKind::FigCacheFast)
     };
     cfg.channels = 1; // every request contends for one controller
     cfg.mc.sched = sched;
-    cfg.mc.flat_scan = flat_scan;
     cfg.hierarchy.mshrs_per_core = 16; // 128 outstanding misses vs 64 queue slots
     let insts = 40_000u64;
     let mut sys = System::new(cfg, traces, &[insts; 8]);
@@ -60,53 +49,17 @@ fn run_backlog(kind: &ConfigKind, sched: SchedPolicyKind, flat_scan: bool) -> (R
     (stats, t.elapsed().as_secs_f64())
 }
 
-/// [`SAMPLES`] interleaved flat/indexed pairs; returns the median-ratio
-/// pair's wall times plus both stats for the equivalence assert.
-fn measure_flat_vs_indexed(kind: &ConfigKind) -> (RunStats, RunStats, f64, f64) {
-    let mut pairs: Vec<(f64, f64)> = Vec::with_capacity(SAMPLES);
-    let mut stats = None;
-    for _ in 0..SAMPLES {
-        let (fs, ft) = run_backlog(kind, SchedPolicyKind::FrFcfs, true);
-        let (is, it) = run_backlog(kind, SchedPolicyKind::FrFcfs, false);
-        pairs.push((ft, it));
-        stats = Some((fs, is));
-    }
-    pairs.sort_by(|a, b| (a.0 / a.1).total_cmp(&(b.0 / b.1)));
-    let (ft, it) = pairs[pairs.len() / 2];
-    let (fs, is) = stats.expect("SAMPLES > 0");
-    (fs, is, ft, it)
-}
-
 fn main() {
     if criterion::launched_as_test() {
         return;
     }
     let runner = figaro_bench::bench_runner("sched_sweep");
 
-    // 1. Indexed queues vs flat-scan baseline.
-    println!("--- indexed queues vs flat-scan baseline (backlog saturation, event kernel) ---");
-    let mut flat_vs_indexed = String::new();
-    for kind in [ConfigKind::Base, ConfigKind::FigCacheFast] {
-        let (fs, is, ft, it) = measure_flat_vs_indexed(&kind);
-        assert_eq!(fs, is, "flat and indexed scans diverged on {}", kind.label());
-        let speedup = ft / it;
-        println!(
-            "{:<14} flat {ft:>7.3} s   indexed {it:>7.3} s   speedup {speedup:.2}x",
-            kind.label()
-        );
-        let _ = write!(
-            flat_vs_indexed,
-            "{}\"{}\": {{\"flat_s\": {ft:.6}, \"indexed_s\": {it:.6}, \"speedup\": {speedup:.3}}}",
-            if flat_vs_indexed.is_empty() { "" } else { ", " },
-            kind.label(),
-        );
-    }
-
-    // 2. Per-policy behavior on the same shape.
+    // 1. Per-policy behavior on the backlog-saturation shape.
     println!("--- scheduling policies (backlog saturation, FIGCache-Fast) ---");
     let mut policy_entries = String::new();
     for sched in sched_policies() {
-        let (stats, wall) = run_backlog(&ConfigKind::FigCacheFast, sched, false);
+        let (stats, wall) = run_backlog(sched);
         let ipc: f64 = (0..8).map(|c| stats.ipc(c)).sum();
         let row_hit = stats.row_hit_rate();
         println!(
@@ -124,7 +77,7 @@ fn main() {
         );
     }
 
-    // 3. The policy x mechanism x workload sweep (cached runner runs).
+    // 2. The policy x mechanism x workload sweep (cached runner runs).
     let fig = figaro_bench::timed("scheduler_sweep", || scheduler_sweep(&runner));
     println!("{fig}");
     let csv_path = figaro_bench::artifact_path("BENCH_sched_sweep.csv");
@@ -133,7 +86,6 @@ fn main() {
 
     let report = format!(
         "{{\n  \"bench\": \"sched_sweep\",\n  \"scale\": \"{}\",\n  \
-         \"flat_vs_indexed\": {{{flat_vs_indexed}}},\n  \
          \"policies\": [{policy_entries}\n  ]\n}}\n",
         runner.scale().label(),
     );

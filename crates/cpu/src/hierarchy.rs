@@ -367,10 +367,9 @@ impl CacheHierarchy {
     }
 
     /// Forgets `core`'s standing stall, for a core that stops retrying
-    /// its stalled access (it finished, or a functional fast-forward
-    /// dropped the access): no retries are booked for it afterwards, and
-    /// its next access walks the full lookup path.
-    pub fn forget_stall(&mut self, core: usize) {
+    /// its stalled access because it finished: no retries are booked for
+    /// it afterwards, and its next access walks the full lookup path.
+    pub(crate) fn forget_stall(&mut self, core: usize) {
         self.ledger[core].block = StallLedger::NO_BLOCK;
     }
 

@@ -4,8 +4,8 @@
 //! Demand scheduling itself is delegated to the pluggable
 //! [`SchedPolicy`](crate::scheduler::SchedPolicy) selected by
 //! [`McConfig::sched`]; queue storage is the per-bank
-//! [`IndexedQueue`](crate::queues::IndexedQueue); per-bank state (job
-//! slots, horizon scratch) lives in [`BankState`](crate::bank::BankState).
+//! [`IndexedQueue`](crate::queues::IndexedQueue); per-bank state (bank
+//! address, job slot) lives in [`BankState`](crate::bank::BankState).
 
 use figaro_core::{CacheEngine, CacheStats, RowHammerMonitor};
 use figaro_dram::{
@@ -42,10 +42,6 @@ pub struct McConfig {
     /// routed under one mapping and decoded under another would land on
     /// the wrong channel (asserted in [`MemoryController::enqueue`]).
     pub map: MapKind,
-    /// Use the pre-refactor flat queue scans instead of the per-bank
-    /// indexes. Selection is identical either way; this exists as the
-    /// wall-clock baseline for the `sched_sweep` bench.
-    pub flat_scan: bool,
     /// Zero-cost relocation ablation (debug only): relocation train
     /// commands take no command-bus slot, which separates bus pressure
     /// from relocation latency in the overhead attribution. Changes
@@ -64,7 +60,6 @@ impl Default for McConfig {
             activation_window: None,
             sched: SchedPolicyKind::FrFcfs,
             map: MapKind::default(),
-            flat_scan: false,
             free_reloc: false,
         }
     }
@@ -176,10 +171,6 @@ pub struct MemoryController {
     completions: Vec<Completion>,
     stats: McStats,
     monitor: Option<RowHammerMonitor>,
-    /// Scratch listing the banks whose `BankAgg` is live (flat scans).
-    agg_touched: Vec<u32>,
-    /// Scratch for the flat-scan `pending_start_horizon` demand flags.
-    demand_scratch: Vec<bool>,
     /// Memoized event horizon (`None` = stale). Invalidated by every
     /// [`MemoryController::tick`]; [`MemoryController::enqueue`] updates
     /// it incrementally instead of recomputing the full scan.
@@ -222,8 +213,6 @@ impl MemoryController {
             completions: Vec::new(),
             stats: McStats::default(),
             monitor: cfg.activation_window.map(RowHammerMonitor::new),
-            agg_touched: Vec::with_capacity(banks),
-            demand_scratch: vec![false; banks],
             horizon: None,
             trace: None,
         }
@@ -296,14 +285,8 @@ impl MemoryController {
             // cache block satisfies the read without touching DRAM (the
             // comparison is block-aligned, so a sub-block-offset read
             // still matches; a block maps to one bank, so only that
-            // bank's bucket is probed on the indexed path).
-            let forwarded = if self.cfg.flat_scan {
-                let block = Request::block_of(req.addr);
-                self.write_q.iter().any(|(_, w)| Request::block_of(w.req.addr) == block)
-            } else {
-                self.write_q.bank_has_block(flat, req.addr)
-            };
-            if forwarded {
+            // bank's bucket is probed).
+            if self.write_q.bank_has_block(flat, req.addr) {
                 self.stats.reads_served += 1;
                 self.stats.forwarded += 1;
                 // Same arrival→data convention as the scheduled path:
@@ -711,11 +694,9 @@ impl MemoryController {
         best = best.min(scheduler::queue_horizon(
             self.policy.as_ref(),
             queue,
-            &mut self.banks,
-            &mut self.agg_touched,
+            &self.banks,
             &self.channel,
             from,
-            self.cfg.flat_scan,
         ));
         if any_job {
             best = best.min(self.job_step_horizon(from));
@@ -784,43 +765,31 @@ impl MemoryController {
         best
     }
 
-    /// Whether any demand request waits on `flat_bank` — O(1) on the
-    /// per-bank indexes, a queue scan on the flat-scan baseline.
-    fn bank_has_demand(&self, flat_bank: u32) -> bool {
-        if self.cfg.flat_scan {
-            self.read_q.iter().chain(self.write_q.iter()).any(|(_, e)| e.flat_bank == flat_bank)
-        } else {
-            self.read_q.bank_len(flat_bank) > 0 || self.write_q.bank_len(flat_bank) > 0
-        }
+    /// Whether `bank_idx` may start its pending relocation job now.
+    /// FIGARO relocations pin two subarrays but leave the rest of the
+    /// bank servable, so they start eagerly when their source row is open
+    /// (the paper's "relocate while the row serving the miss is open") or
+    /// as soon as the bank has no waiting demand. LISA clones occupy the
+    /// whole bank, so they only start on an idle bank.
+    fn job_may_start(&self, bank_idx: usize) -> bool {
+        let bank = bank_idx as u32;
+        let cheap = self
+            .engine
+            .next_job_source(bank)
+            .is_some_and(|src| self.channel.open_row(self.banks[bank_idx].addr) == Some(src));
+        let idle = self.read_q.bank_len(bank) == 0 && self.write_q.bank_len(bank) == 0;
+        cheap || idle
     }
 
     /// `from` when `start_pending_jobs` would hand a pending job to a bank
     /// on its next opportunity, [`Cycle::MAX`] otherwise (the gating state
-    /// — open rows and queued demand — only changes at events). The
-    /// per-bank indexes answer the demand question in O(1); the flat-scan
-    /// baseline rebuilds the per-bank flags with one queue pass.
-    fn pending_start_horizon(&mut self, from: Cycle) -> Cycle {
-        if self.cfg.flat_scan {
-            self.demand_scratch.fill(false);
-            for (_, e) in self.read_q.iter().chain(self.write_q.iter()) {
-                self.demand_scratch[e.flat_bank as usize] = true;
-            }
-        }
+    /// — open rows and queued demand — only changes at events).
+    fn pending_start_horizon(&self, from: Cycle) -> Cycle {
         for bank_idx in 0..self.banks.len() {
             if self.banks[bank_idx].job.is_some() || !self.engine.has_pending_job(bank_idx as u32) {
                 continue;
             }
-            let bank = bank_idx as u32;
-            let cheap = self
-                .engine
-                .next_job_source(bank)
-                .is_some_and(|src| self.channel.open_row(self.banks[bank_idx].addr) == Some(src));
-            let has_demand = if self.cfg.flat_scan {
-                self.demand_scratch[bank_idx]
-            } else {
-                self.bank_has_demand(bank)
-            };
-            if cheap || !has_demand {
+            if self.job_may_start(bank_idx) {
                 return from;
             }
         }
@@ -868,14 +837,9 @@ impl MemoryController {
     /// Priority 1: issue the policy's column-command pick, if any.
     fn try_issue_column(&mut self, serve_writes: bool, now: Cycle) -> bool {
         let queue = if serve_writes { &mut self.write_q } else { &mut self.read_q };
-        let Some(id) = scheduler::pick_column(
-            self.policy.as_ref(),
-            queue,
-            &self.banks,
-            &self.channel,
-            now,
-            self.cfg.flat_scan,
-        ) else {
+        let Some(id) =
+            scheduler::pick_column(self.policy.as_ref(), queue, &self.banks, &self.channel, now)
+        else {
             return false;
         };
         let entry = if serve_writes { self.write_q.remove(id) } else { self.read_q.remove(id) };
@@ -951,19 +915,8 @@ impl MemoryController {
             if self.banks[bank_idx].job.is_some() || !self.engine.has_pending_job(bank_idx as u32) {
                 continue;
             }
-            // FIGARO relocations pin two subarrays but leave the rest of
-            // the bank servable, so start them eagerly when their source
-            // row is open (the paper's "relocate while the row serving
-            // the miss is open") or as soon as the bank has no waiting
-            // demand. LISA clones occupy the whole bank, so they only
-            // start on an idle bank.
-            let bank = bank_idx as u32;
-            let cheap = self
-                .engine
-                .next_job_source(bank)
-                .is_some_and(|src| self.channel.open_row(self.banks[bank_idx].addr) == Some(src));
-            if cheap || !self.bank_has_demand(bank) {
-                self.banks[bank_idx].job = self.engine.take_job(bank, now);
+            if self.job_may_start(bank_idx) {
+                self.banks[bank_idx].job = self.engine.take_job(bank_idx as u32, now);
                 if let Some(job) = &self.banks[bank_idx].job {
                     let id = job.id;
                     figaro_telemetry::probe!(self.trace, t => t.job_start(bank_idx, id, now));
@@ -976,14 +929,7 @@ impl MemoryController {
     fn try_issue_demand_prep(&mut self, serve_writes: bool, now: Cycle) -> bool {
         let decision = {
             let queue = if serve_writes { &mut self.write_q } else { &mut self.read_q };
-            scheduler::pick_prep(
-                self.policy.as_ref(),
-                queue,
-                &self.banks,
-                &self.channel,
-                now,
-                self.cfg.flat_scan,
-            )
+            scheduler::pick_prep(self.policy.as_ref(), queue, &self.banks, &self.channel, now)
         };
         match decision {
             Some(PrepAction::Pre(id)) => {
@@ -1155,19 +1101,16 @@ mod tests {
         // read at a sub-block offset of a queued write's block must be
         // served from the write queue (previously the exact-address
         // comparison missed it and the read went to DRAM).
-        for flat_scan in [false, true] {
-            let cfg = McConfig { enable_refresh: false, flat_scan, ..McConfig::default() };
-            let mut mc = base_mc_with(cfg);
-            mc.enqueue(write(1, 4096, 0), 0);
-            mc.enqueue(read(2, 4096 + 24, 1), 1);
-            assert_eq!(mc.stats().forwarded, 1, "flat_scan={flat_scan}");
-            let done = take_completions(&mut mc);
-            assert_eq!(done.len(), 1);
-            assert_eq!(done[0].id, 2);
-            // A read one block over must NOT forward.
-            mc.enqueue(read(3, 4096 + 64, 2), 2);
-            assert_eq!(mc.stats().forwarded, 1, "adjacent block must not forward");
-        }
+        let mut mc = base_mc(false);
+        mc.enqueue(write(1, 4096, 0), 0);
+        mc.enqueue(read(2, 4096 + 24, 1), 1);
+        assert_eq!(mc.stats().forwarded, 1);
+        let done = take_completions(&mut mc);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].id, 2);
+        // A read one block over must NOT forward.
+        mc.enqueue(read(3, 4096 + 64, 2), 2);
+        assert_eq!(mc.stats().forwarded, 1, "adjacent block must not forward");
     }
 
     #[test]
@@ -1358,7 +1301,7 @@ mod tests {
         );
     }
 
-    /// How the flat-vs-indexed oracle feeds and clocks its controllers.
+    /// How the view-memo oracle feeds and clocks its controller.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum OracleDrive {
         /// Sparse reads and writes, ticked every bus cycle.
@@ -1366,19 +1309,19 @@ mod tests {
         /// A read offered every cycle (the queue sits at its cap) plus
         /// periodic writes, ticked every bus cycle.
         Saturated,
-        /// The saturated feed, ticked only at the controllers' event
+        /// The saturated feed, ticked only at the controller's event
         /// horizon, so per-bank views are reused from a tick into the
         /// next horizon recompute.
         EventPaced,
     }
 
     #[test]
-    fn flat_scan_baseline_is_bit_identical_to_indexed() {
-        // The flat scan is the oracle of the indexed strategy and its
-        // per-bank view memo: selection must be identical. Drive both
-        // variants through a FIGCache workload (jobs, conflicts, refresh)
-        // under every policy and feed, and demand identical completions
-        // after every tick and identical statistics at the end.
+    fn bank_view_memo_matches_fresh_walks_under_every_policy_and_feed() {
+        // In unit tests `IndexedQueue::bank_view` checks every memo hit
+        // against a fresh walk of the bank's entries, so a missed
+        // invalidation panics here. Drive a FIGCache workload (jobs,
+        // conflicts, refresh) under every policy and feed so the memo is
+        // hit from every selection and horizon path.
         let policies = [
             SchedPolicyKind::FrFcfs,
             SchedPolicyKind::Fcfs,
@@ -1387,74 +1330,52 @@ mod tests {
         ];
         for sched in policies {
             for drive in [OracleDrive::Bursty, OracleDrive::Saturated, OracleDrive::EventPaced] {
-                flat_scan_matches_indexed(sched, drive);
+                drive_view_memo(sched, drive);
             }
         }
     }
 
-    fn flat_scan_matches_indexed(sched: SchedPolicyKind, drive: OracleDrive) {
+    fn drive_view_memo(sched: SchedPolicyKind, drive: OracleDrive) {
         let dram = DramConfig {
             layout: SubarrayLayout::homogeneous(64, 512).with_appended_fast(2, 32),
             ..DramConfig::ddr4_paper_default()
         };
-        let mk = |flat_scan: bool| {
-            let engine = FigCacheEngine::new(&dram, &FigCacheConfig::paper_fast(), 16);
-            let cfg = McConfig { flat_scan, sched, ..McConfig::default() };
-            MemoryController::new(&dram, cfg, 0, Box::new(engine))
-        };
+        let engine = FigCacheEngine::new(&dram, &FigCacheConfig::paper_fast(), 16);
+        let cfg = McConfig { sched, ..McConfig::default() };
+        let mut mc = MemoryController::new(&dram, cfg, 0, Box::new(engine));
         let tag = format!("{} {drive:?}", sched.label());
         let (read_every, write_every, cycles) = match drive {
             OracleDrive::Bursty => (23, 97, 40_000u64),
             OracleDrive::Saturated | OracleDrive::EventPaced => (1, 29, 20_000),
         };
-        let mut indexed = mk(false);
-        let mut flat = mk(true);
         let mut id = 0u64;
         let mut ticks = 0u64;
-        let mut a = Vec::new();
-        let mut b = Vec::new();
         for t in 0..cycles {
-            if t.is_multiple_of(read_every) && indexed.can_accept(false) && flat.can_accept(false) {
-                let addr = (id * 7919) % 8192 * 64 + (id % 3) * 8;
-                indexed.enqueue(read(id, addr, t), t);
-                flat.enqueue(read(id, addr, t), t);
+            if t.is_multiple_of(read_every) && mc.can_accept(false) {
+                mc.enqueue(read(id, (id * 7919) % 8192 * 64 + (id % 3) * 8, t), t);
                 id += 1;
             }
-            if t.is_multiple_of(write_every) && indexed.can_accept(true) && flat.can_accept(true) {
-                let addr = (id * 104_729) % 8192 * 64;
-                indexed.enqueue(write(id, addr, t), t);
-                flat.enqueue(write(id, addr, t), t);
+            if t.is_multiple_of(write_every) && mc.can_accept(true) {
+                mc.enqueue(write(id, (id * 104_729) % 8192 * 64, t), t);
                 id += 1;
             }
-            if drive == OracleDrive::EventPaced {
-                let horizon = indexed.next_event_at(t);
-                assert_eq!(horizon, flat.next_event_at(t), "[{tag}] horizons diverged at {t}");
-                if horizon.is_none_or(|h| h > t) {
-                    continue;
-                }
+            if drive == OracleDrive::EventPaced && mc.next_event_at(t).is_none_or(|h| h > t) {
+                continue;
             }
-            indexed.tick(t);
-            flat.tick(t);
+            mc.tick(t);
             ticks += 1;
-            a.clear();
-            b.clear();
-            indexed.drain_completions_into(&mut a);
-            flat.drain_completions_into(&mut b);
-            assert_eq!(a, b, "[{tag}] completions diverged at bus cycle {t}");
+            let _ = take_completions(&mut mc);
         }
-        assert_eq!(indexed.stats(), flat.stats(), "[{tag}]");
-        assert_eq!(indexed.dram_stats(), flat.dram_stats(), "[{tag}]");
-        assert_eq!(indexed.engine_stats(), flat.engine_stats(), "[{tag}]");
         // Strict FCFS serves a saturated random stream at roughly one
         // row conflict per read, so the saturated feeds need fewer.
         let min_served = if drive == OracleDrive::Bursty { 500 } else { 250 };
         assert!(
-            indexed.stats().reads_served > min_served,
+            mc.stats().reads_served > min_served,
             "[{tag}] workload must exercise the controller"
         );
-        assert!(indexed.dram_stats().relocs > 0, "[{tag}] relocation jobs must run");
+        assert!(mc.dram_stats().relocs > 0, "[{tag}] relocation jobs must run");
         if drive != OracleDrive::Bursty {
-            assert_eq!(indexed.stats().read_q_peak, 64, "[{tag}] the read queue must saturate");
+            assert_eq!(mc.stats().read_q_peak, 64, "[{tag}] the read queue must saturate");
         }
         if drive == OracleDrive::EventPaced {
             assert!(ticks < cycles / 2, "[{tag}] event pacing must skip ticks ({ticks})");

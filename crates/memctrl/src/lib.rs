@@ -6,7 +6,7 @@
 //! | Module | Owns |
 //! |---|---|
 //! | [`queues`] | per-bank **indexed** transaction queues (intrusive FIFO + per-bank lists, O(1) bank occupancy, memoised per-bank views) |
-//! | [`bank`] | per-bank state: the relocation-job slot and horizon scratch |
+//! | [`bank`] | per-bank state: the decoded bank address and the relocation-job slot |
 //! | [`scheduler`] | the pluggable [`SchedPolicy`](scheduler::SchedPolicy) demand policies and the selection/horizon algorithms |
 //! | [`controller`] | queue admission, write drain, refresh, job execution, the event-horizon contract |
 //!

@@ -23,6 +23,7 @@
 //! bank. A view stays valid until the bank's list changes (push, remove,
 //! `entry_mut`, `load_state`) and is recomputed when asked about another
 //! open row, so a controller event re-walks only the banks it touched.
+//! In unit tests every memo hit is checked against a fresh walk.
 
 use figaro_dram::{BankAddr, Cycle, PhysAddr, RowId};
 
@@ -270,12 +271,24 @@ impl IndexedQueue {
 
     /// `flat_bank`'s entries summarised against the open row `open` —
     /// memoised, so repeated calls cost O(1) until the bank's list changes
-    /// or another open row is asked about.
+    /// or another open row is asked about. Unit tests check every memo
+    /// hit against a fresh `summarise` walk, so a missed invalidation
+    /// fails them.
     pub fn bank_view(&mut self, flat_bank: u32, open: Option<RowId>) -> BankView {
         let b = flat_bank as usize;
         if let Some(v) = self.views[b].filter(|v| v.open == open) {
+            #[cfg(test)]
+            assert_eq!(v, self.summarise(flat_bank, open), "stale view memo of bank {b}");
             return v;
         }
+        let v = self.summarise(flat_bank, open);
+        self.views[b] = Some(v);
+        v
+    }
+
+    /// Walks `flat_bank`'s entries once and summarises them against the
+    /// open row `open` (the uncached form of [`IndexedQueue::bank_view`]).
+    fn summarise(&self, flat_bank: u32, open: Option<RowId>) -> BankView {
         let mut v = BankView {
             open,
             oldest_hit: None,
@@ -283,7 +296,7 @@ impl IndexedQueue {
             write_hit: false,
             first_miss: None,
         };
-        let mut cur = self.bank_head[b];
+        let mut cur = self.bank_head[flat_bank as usize];
         while cur != NIL {
             let slot = self.slot(cur);
             let e = &slot.entry;
@@ -302,7 +315,6 @@ impl IndexedQueue {
             }
             cur = slot.bank_next;
         }
-        self.views[b] = Some(v);
         v
     }
 

@@ -10,24 +10,19 @@
 //! while [`Fcfs`], [`FrFcfsCap`] and [`WriteDrainTuned`] reuse the same
 //! machinery.
 //!
-//! Each selection exists in two strategies:
-//!
-//! * **indexed** (default): visit only the banks that have queued
-//!   entries, probing DRAM timing once per bank and command class and
-//!   reading each bank's entries through its memoised
-//!   [`crate::queues::BankView`] (re-walked only after the bank's list or
-//!   open row changed); pinned closed banks still walk their entries;
-//! * **flat** ([`crate::McConfig::flat_scan`]): the pre-refactor global
-//!   queue scans, kept as the honest wall-clock baseline for the
-//!   `sched_sweep` bench and as the oracle of the view memo. Both
-//!   strategies pick the identical command.
+//! Apart from strict FCFS, which looks only at the queue head, every
+//! selection visits only the banks that have queued entries, probing
+//! DRAM timing once per bank and command class and reading each bank's
+//! entries through its memoised [`crate::queues::BankView`] (re-walked
+//! only after the bank's list or open row changed); pinned closed banks
+//! still walk their entries.
 //!
 //! The policy in force is chosen by [`crate::McConfig::sched`].
 
 use figaro_dram::{Cycle, DramChannel, DramCommand};
 
-use crate::bank::{BankAgg, BankState};
-use crate::queues::{Entry, IndexedQueue};
+use crate::bank::BankState;
+use crate::queues::{BankView, Entry, IndexedQueue};
 
 /// Identifies a scheduling policy — the value form carried by
 /// [`crate::McConfig`] and scenario overrides.
@@ -279,12 +274,6 @@ pub(crate) fn column_cmd(e: &Entry) -> DramCommand {
     }
 }
 
-/// Whether the (open) bank `flat_bank` has a queued entry for a
-/// different row — the conflict signal fed to the policy hooks.
-fn bank_has_conflict(q: &IndexedQueue, flat_bank: u32, open: figaro_dram::RowId) -> bool {
-    q.iter_bank(flat_bank).any(|(_, e)| e.serve_row != open)
-}
-
 /// Priority 1: the queued demand entry whose column command is ready to
 /// issue this cycle, or `None`. FR-FCFS picks the oldest ready row hit
 /// (ties by queue position); hooks restrict the candidate set.
@@ -294,7 +283,6 @@ pub(crate) fn pick_column(
     banks: &[BankState],
     chan: &DramChannel,
     now: Cycle,
-    flat_scan: bool,
 ) -> Option<u32> {
     if q.is_empty() {
         return None;
@@ -310,46 +298,27 @@ pub(crate) fn pick_column(
         }
         return None;
     }
-    // Oldest ready row hit = min (arrival, enqueue seq) over candidates.
+    // Oldest ready row hit = min (arrival, enqueue seq) over candidates:
+    // one timing probe per bank, its oldest hit from the bank's memoised
+    // view.
     let mut best: Option<(Cycle, u64, u32)> = None;
-    let mut consider = |arrival: Cycle, seq: u64, id: u32| {
-        if best.is_none_or(|(a, s, _)| (arrival, seq) < (a, s)) {
+    for (b, st) in (0u32..).zip(banks) {
+        if q.bank_len(b) == 0 {
+            continue;
+        }
+        let Some(open) = chan.open_row(st.addr) else { continue };
+        if chan.must_precharge(st.addr) {
+            continue;
+        }
+        let view = q.bank_view(b, Some(open));
+        let Some((arrival, seq, id)) = view.oldest_hit else { continue };
+        if !policy.allow_row_hit(b, view.first_miss.is_some()) {
+            continue;
+        }
+        if best.is_none_or(|(a, s, _)| (arrival, seq) < (a, s))
+            && chan.can_issue(st.addr, &column_cmd(q.entry(id)), now)
+        {
             best = Some((arrival, seq, id));
-        }
-    };
-    if flat_scan {
-        // Pre-refactor baseline: probe every entry against the channel.
-        for (id, e) in q.iter() {
-            let Some(open) = chan.open_row(e.bank) else { continue };
-            if open != e.serve_row || chan.must_precharge(e.bank) {
-                continue;
-            }
-            if !policy.allow_row_hit(e.flat_bank, bank_has_conflict(q, e.flat_bank, open)) {
-                continue;
-            }
-            if chan.can_issue(e.bank, &column_cmd(e), now) {
-                consider(e.req.arrival, q.seq(id), id);
-            }
-        }
-    } else {
-        // Indexed: one timing probe per bank, its oldest hit from the
-        // bank's memoised view.
-        for (b, st) in (0u32..).zip(banks) {
-            if q.bank_len(b) == 0 {
-                continue;
-            }
-            let Some(open) = chan.open_row(st.addr) else { continue };
-            if chan.must_precharge(st.addr) {
-                continue;
-            }
-            let view = q.bank_view(b, Some(open));
-            let Some((arrival, seq, id)) = view.oldest_hit else { continue };
-            if !policy.allow_row_hit(b, view.first_miss.is_some()) {
-                continue;
-            }
-            if chan.can_issue(st.addr, &column_cmd(q.entry(id)), now) {
-                consider(arrival, seq, id);
-            }
         }
     }
     best.map(|(_, _, id)| id)
@@ -364,16 +333,12 @@ pub(crate) fn pick_prep(
     banks: &[BankState],
     chan: &DramChannel,
     now: Cycle,
-    flat_scan: bool,
 ) -> Option<PrepAction> {
     if q.is_empty() {
         return None;
     }
     if policy.in_order_only() {
         return pick_prep_in_order(q, banks, chan, now);
-    }
-    if flat_scan {
-        return pick_prep_flat(policy, q, banks, chan, now);
     }
     let mut best: Option<(u64, PrepAction)> = None;
     let mut consider = |seq: u64, act: PrepAction| {
@@ -452,48 +417,6 @@ fn pick_prep_in_order(
     None // head is a row hit; priority 1 handles it
 }
 
-/// Pre-refactor flat prep scan (the `sched_sweep` baseline): global
-/// queue order, per-entry probes, O(queue) same-bank hit re-scans.
-fn pick_prep_flat(
-    policy: &dyn SchedPolicy,
-    q: &IndexedQueue,
-    banks: &[BankState],
-    chan: &DramChannel,
-    now: Cycle,
-) -> Option<PrepAction> {
-    'outer: for (id, e) in q.iter() {
-        let st = &banks[e.flat_bank as usize];
-        if st.job.is_some() && !chan.is_pinned(e.bank) {
-            continue; // the bank belongs to a job still setting up
-        }
-        match chan.open_row(e.bank) {
-            Some(r) if r == e.serve_row => continue, // handled as a row hit
-            Some(open) => {
-                // Conflict: close the row, but not while other queued
-                // requests can still hit it (unless the policy lifted
-                // that protection for this bank).
-                if policy.hits_suppress_prep(e.flat_bank, true) {
-                    for (_, o) in q.iter() {
-                        if o.flat_bank == e.flat_bank && o.serve_row == open {
-                            continue 'outer;
-                        }
-                    }
-                }
-                if chan.can_issue(e.bank, &DramCommand::Precharge, now) {
-                    return Some(PrepAction::Pre(id));
-                }
-            }
-            None => {
-                let act = DramCommand::Activate { row: e.serve_row };
-                if chan.can_issue(e.bank, &act, now) {
-                    return Some(PrepAction::Act(id));
-                }
-            }
-        }
-    }
-    None
-}
-
 /// Earliest cycle `>= from` at which [`pick_column`] or [`pick_prep`]
 /// over the active queue could return `Some` — the demand half of the
 /// controller's event horizon. A lower bound for every policy: a
@@ -501,11 +424,9 @@ fn pick_prep_flat(
 pub(crate) fn queue_horizon(
     policy: &dyn SchedPolicy,
     q: &mut IndexedQueue,
-    banks: &mut [BankState],
-    agg_touched: &mut Vec<u32>,
+    banks: &[BankState],
     chan: &DramChannel,
     from: Cycle,
-    flat_scan: bool,
 ) -> Cycle {
     if q.is_empty() {
         return Cycle::MAX;
@@ -513,90 +434,46 @@ pub(crate) fn queue_horizon(
     if policy.in_order_only() {
         return in_order_horizon(q, banks, chan, from);
     }
-    // Aggregate the queue per bank (flat: one global pass into the
-    // BankState scratch; indexed: the banks' memoised views), then probe
-    // each touched bank once per command class.
+    // Summarise each occupied bank through its memoised view, then probe
+    // it once per command class.
     let mut best = Cycle::MAX;
-    if flat_scan {
-        for &b in agg_touched.iter() {
-            banks[b as usize].agg = BankAgg::default();
+    for b in 0..banks.len() as u32 {
+        if q.bank_len(b) == 0 {
+            continue;
         }
-        agg_touched.clear();
-        for (_, e) in q.iter() {
-            // The open row is read once at first touch, exactly like the
-            // pre-refactor scan this path preserves as a baseline.
-            if !banks[e.flat_bank as usize].agg.seen {
-                let open = chan.open_row(e.bank);
-                let agg = &mut banks[e.flat_bank as usize].agg;
-                agg.seen = true;
-                agg.open = open;
-                agg_touched.push(e.flat_bank);
-            }
-            fold_entry(&mut banks[e.flat_bank as usize].agg, e);
-        }
-        for &b in agg_touched.iter() {
-            let agg = banks[b as usize].agg;
-            best = best.min(bank_horizon(policy, q, banks, b, &agg, chan, from));
-        }
-    } else {
-        for b in 0..banks.len() as u32 {
-            if q.bank_len(b) == 0 {
-                continue;
-            }
-            let open = chan.open_row(banks[b as usize].addr);
-            let view = q.bank_view(b, open);
-            let agg = BankAgg {
-                seen: true,
-                open,
-                has_hit: view.oldest_hit.is_some(),
-                read_hit: view.read_hit,
-                write_hit: view.write_hit,
-                prep_row: view.first_miss.map(|(_, id)| q.entry(id).serve_row),
-            };
-            best = best.min(bank_horizon(policy, q, banks, b, &agg, chan, from));
-        }
+        let view = q.bank_view(b, chan.open_row(banks[b as usize].addr));
+        best = best.min(bank_horizon(policy, q, banks, b, &view, chan, from));
     }
     best
 }
 
-/// Folds one queued entry into its bank's aggregate.
-fn fold_entry(agg: &mut BankAgg, e: &Entry) {
-    if agg.open == Some(e.serve_row) {
-        agg.has_hit = true;
-        if e.req.is_write {
-            agg.write_hit = true;
-        } else {
-            agg.read_hit = true;
-        }
-    } else if agg.prep_row.is_none() {
-        agg.prep_row = Some(e.serve_row);
-    }
-}
-
-/// Horizon candidates of one aggregated bank.
+/// Horizon candidates of one bank, from its view of the active queue:
+/// DRAM timing for column commands is column-independent and for
+/// ACT/PRE row-independent (pinned banks excepted), so one
+/// `next_ready` per command class covers every queued entry.
 fn bank_horizon(
     policy: &dyn SchedPolicy,
     q: &IndexedQueue,
     banks: &[BankState],
     b: u32,
-    agg: &BankAgg,
+    view: &BankView,
     chan: &DramChannel,
     from: Cycle,
 ) -> Cycle {
     let addr = banks[b as usize].addr;
     let mut best = Cycle::MAX;
-    let has_conflict = agg.open.is_some() && agg.prep_row.is_some();
-    if agg.has_hit {
+    let has_conflict = view.open.is_some() && view.first_miss.is_some();
+    if view.oldest_hit.is_some() {
         // Row-hit candidates; a must-precharge bank serves nothing (and
         // its same-row entries suppress prep regardless).
         if !chan.must_precharge(addr) && policy.allow_row_hit(b, has_conflict) {
-            if agg.read_hit {
+            if view.read_hit {
                 let rd = DramCommand::Read { col: 0, auto_pre: false };
                 if let Some(t) = chan.next_ready(addr, &rd, from) {
                     best = best.min(t);
                 }
             }
-            if agg.write_hit {
+            if view.write_hit {
                 let wr = DramCommand::Write { col: 0, auto_pre: false };
                 if let Some(t) = chan.next_ready(addr, &wr, from) {
                     best = best.min(t);
@@ -610,17 +487,17 @@ fn bank_horizon(
             return best;
         }
     }
-    let Some(prep_row) = agg.prep_row else { return best };
+    let Some((_, miss_id)) = view.first_miss else { return best };
     let pinned = chan.is_pinned(addr);
     if banks[b as usize].job.is_some() && !pinned {
         return best; // the bank belongs to a job still setting up
     }
-    if agg.open.is_some() {
+    if view.open.is_some() {
         if let Some(t) = chan.next_ready(addr, &DramCommand::Precharge, from) {
             best = best.min(t);
         }
     } else if !pinned {
-        let act = DramCommand::Activate { row: prep_row };
+        let act = DramCommand::Activate { row: q.entry(miss_id).serve_row };
         if let Some(t) = chan.next_ready(addr, &act, from) {
             best = best.min(t);
         }

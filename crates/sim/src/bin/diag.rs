@@ -36,9 +36,8 @@ fn usage() -> ! {
          env (result-affecting):\n\
          FIGARO_SCHED=frfcfs|fcfs|frfcfs-cap<N>|wdrain<H>-<L> picks the\n\
          memory-controller scheduling policy,\n\
-         FIGARO_KERNEL=event|reference|sampled[:W,S] the\n\
-         simulation kernel (sampled alternates W detailed cycles with S\n\
-         fast-forwarded cycles — approximate),\n\
+         FIGARO_KERNEL=event|reference the simulation kernel (both are\n\
+         exact and print identical statistics),\n\
          FIGARO_MAP=paper|chfirst|rowint[-xor] the DRAM address mapping,\n\
          FIGARO_PAGEMAP=ident|rand<seed>|color<N> the OS page-frame\n\
          placement,\n\
@@ -62,8 +61,8 @@ fn usage() -> ! {
          (per-channel row hits/misses/conflicts, queue depths, FIGCache\n\
          activity, per-core IPC/MSHR) every N CPU cycles,\n\
          FIGARO_TRACE=<path>[:filter] writes a Chrome trace-event JSON\n\
-         (relocation jobs, write drains, refreshes, sampling windows;\n\
-         filter is a comma list of reloc,drain,refresh,window,warm\n\
+         (relocation jobs, write drains, refreshes, warm-start resumes;\n\
+         filter is a comma list of reloc,drain,refresh,warm\n\
          or `all`; load the file in Perfetto),\n\
          FIGARO_PROFILE=1 prints the kernel self-profile (wall-clock\n\
          time per component) after the run,\n\

@@ -26,9 +26,8 @@
 //! [`System::run`] is driven by one of two exact kernels with
 //! bit-identical [`RunStats`] — [`Kernel::Event`] (next-event time
 //! skipping, the default) and [`Kernel::Reference`] (the per-cycle
-//! oracle) — or by the approximate [`Kernel::Sampled`]. Each run is one
-//! single-threaded event loop; independent runs parallelize through the
-//! [`Runner`] batch API.
+//! oracle). Each run is one single-threaded event loop; independent runs
+//! parallelize through the [`Runner`] batch API.
 //!
 //! ## Example
 //!
@@ -68,7 +67,7 @@ pub use config::{ConfigKind, Kernel, SystemConfig};
 pub use figaro_dram::{MapKind, MapScheme};
 pub use figaro_memctrl::SchedPolicyKind;
 pub use figaro_workloads::PageMapKind;
-pub use metrics::{ChannelStats, RunStats, SampledStats};
+pub use metrics::{ChannelStats, RunStats};
 pub use model_rev::MODEL_REV;
 pub use runner::{Runner, Scale, Scenario, ScenarioWorkload};
 pub use snapshot::{config_hash, SnapshotHeader};

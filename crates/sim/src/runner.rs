@@ -697,9 +697,7 @@ impl Runner {
         let env_var = |var: &str| env_lookup(var).filter(|v| !v.is_empty());
         if let Some(raw) = env_var("FIGARO_KERNEL") {
             self.kernel = Kernel::parse(&raw).ok_or_else(|| {
-                format!(
-                    "unrecognized FIGARO_KERNEL `{raw}` (use event | reference | sampled[:W,S])"
-                )
+                format!("unrecognized FIGARO_KERNEL `{raw}` (use event | reference)")
             })?;
         }
         if let Some(raw) = env_var("FIGARO_SCHED") {
@@ -1022,9 +1020,8 @@ impl Runner {
             };
             let mut sys = build(cfg.clone());
             if let Some(w) = warmup {
-                // The warm prefix is its own run: the exact event kernel
-                // (so one snapshot serves every kernel and sampled
-                // geometry) capped at the warmup.
+                // The warm prefix is its own run: the event kernel (so
+                // one snapshot serves every kernel) capped at the warmup.
                 let warm_cycles = w.min(max_cycles);
                 let warm_cfg = SystemConfig { kernel: Kernel::Event, ..cfg.clone() };
                 let warm_spec = run_spec(&warm_cfg, &load, &targets, warm_cycles, None);
@@ -1036,8 +1033,7 @@ impl Runner {
 
     /// Brings `sys` to the scenario's warm point: restores the FGSN
     /// snapshot named by `warm_spec` when one exists, otherwise simulates
-    /// the warm prefix once under `warm_cfg` (the event kernel, so a
-    /// snapshot never embeds sampled-mode approximation) and publishes
+    /// the warm prefix once under `warm_cfg` (the event kernel) and publishes
     /// the snapshot for every later run sharing the prefix. `build` must
     /// reconstruct the system from the same run description (fresh
     /// deterministic sources).

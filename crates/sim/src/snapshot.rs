@@ -65,11 +65,8 @@ pub const FORMAT_VERSION: u64 = 2;
 /// Fingerprint of the configuration that may resume a snapshot.
 ///
 /// FNV-1a over [`MODEL_REV`] and the config's `Debug` rendering, with
-/// the kernel normalized out (exact kernels are bit-identical — see the
-/// kernel-equivalence suite in `system.rs`). A [`Kernel::Sampled`] run
-/// may also *resume* from a warm snapshot — its approximation starts
-/// after the exact warmup — but snapshots are only ever *written* by
-/// exact runs (the runner warms up under the event kernel).
+/// the kernel normalized out (both kernels are bit-identical — see the
+/// kernel-equivalence suite in `system.rs`).
 #[must_use]
 pub fn config_hash(cfg: &SystemConfig) -> u64 {
     let mut normalized = cfg.clone();
@@ -213,8 +210,11 @@ pub fn read_header<R: Read>(r: &mut R) -> io::Result<SnapshotHeader> {
     }
     let config_hash = need(r, "config hash")?;
     let cpu_cycle = need(r, "cpu cycle")?;
+    // The counts are untrusted: vectors grow only with the entries
+    // actually read, so a corrupt count ends in a truncation error
+    // rather than a huge allocation.
     let n_cores = need(r, "core count")?;
-    let mut cores = Vec::with_capacity(n_cores as usize);
+    let mut cores = Vec::new();
     for _ in 0..n_cores {
         cores.push(CoreSummary {
             ops_pulled: need(r, "core ops_pulled")?,
@@ -222,7 +222,7 @@ pub fn read_header<R: Read>(r: &mut R) -> io::Result<SnapshotHeader> {
         });
     }
     let n_shards = need(r, "shard count")?;
-    let mut shards = Vec::with_capacity(n_shards as usize);
+    let mut shards = Vec::new();
     for _ in 0..n_shards {
         shards.push(ShardSummary {
             read_queue: need(r, "shard read queue")?,
@@ -270,7 +270,7 @@ pub fn restore_from_reader<R: Read>(sys: &mut System, r: &mut R) -> io::Result<S
             header.config_hash
         )));
     }
-    let mut words = Vec::with_capacity(header.payload_words as usize);
+    let mut words = Vec::new();
     for _ in 0..header.payload_words {
         words.push(need(r, "payload word")?);
     }
@@ -382,14 +382,45 @@ mod tests {
         );
     }
 
+    /// FGSN header bytes: the current version, `hash`, cycle 0, then
+    /// `counts` back to back with no entries after them, so reading the
+    /// first entry a count promises hits EOF.
+    fn header_with_counts(hash: u64, counts: &[u64]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        for v in [FORMAT_VERSION, hash, 0].iter().chain(counts) {
+            write_varint(&mut bytes, *v).expect("write to a Vec");
+        }
+        bytes
+    }
+
+    #[test]
+    fn huge_core_count_is_invalid_data_not_a_panic() {
+        let bytes = header_with_counts(0, &[1 << 62]);
+        let err = read_header(&mut bytes.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn huge_shard_count_is_invalid_data_not_a_panic() {
+        let bytes = header_with_counts(0, &[0, 1 << 62]);
+        let err = read_header(&mut bytes.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn huge_payload_length_is_invalid_data_not_a_panic() {
+        let mut sys = small_sys(ConfigKind::Base);
+        let bytes = header_with_counts(config_hash(sys.config()), &[0, 0, 1 << 62]);
+        let err = restore_from_reader(&mut sys, &mut bytes.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
     #[test]
     fn config_hash_ignores_kernel() {
         let mut a = SystemConfig::paper(2, ConfigKind::FigCacheFast);
         a.kernel = Kernel::Reference;
         let mut b = a.clone();
         b.kernel = Kernel::Event;
-        assert_eq!(config_hash(&a), config_hash(&b));
-        b.kernel = Kernel::Sampled { window: 10, skip: 20 };
         assert_eq!(config_hash(&a), config_hash(&b));
 
         let c = SystemConfig::paper(2, ConfigKind::Base);

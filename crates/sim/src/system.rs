@@ -22,10 +22,7 @@
 //! or when the hierarchy reports that their stall on full MSHRs ended.
 //! Every other core stays lazy and is caught up with
 //! [`TraceCore::skip_cycles`] right before its next tick, before each
-//! telemetry sample and at span end.
-//!
-//! [`Kernel::Sampled`] alternates exact event-kernel windows with
-//! functional fast-forward and is the one approximate kernel.
+//! telemetry sample and when the run returns.
 //!
 //! There is no intra-run parallel kernel: every core couples every
 //! channel, so per-channel lookahead is too short to beat the serial
@@ -407,7 +404,6 @@ impl System {
         let stats = match self.cfg.kernel {
             Kernel::Reference => self.run_reference(max_cpu_cycles),
             Kernel::Event => self.run_event(max_cpu_cycles),
-            Kernel::Sampled { window, skip } => self.run_sampled(max_cpu_cycles, window, skip),
         };
         // Lands the final reconciliation sample and writes the merged
         // Chrome trace; a no-op (single `is_none` test) when telemetry
@@ -482,15 +478,6 @@ impl System {
     /// Next-event time skipping ([`Kernel::Event`]): execute the same
     /// per-cycle step as the reference kernel, but only at event cycles;
     /// skipped intervals are folded into the blocked counters.
-    fn run_event(&mut self, max_cpu_cycles: u64) -> RunStats {
-        self.run_event_span(max_cpu_cycles);
-        self.collect()
-    }
-
-    /// The event kernel's clock loop without the final stats collection —
-    /// `run_event` is `run_event_span` + `collect`, and the sampled
-    /// kernel's detailed windows reuse the span directly so each window
-    /// is the exact event-kernel cycle sequence.
     ///
     /// An executed cycle ticks only the due cores, in core order, exactly
     /// as the reference step does after the bus half. A core that is not
@@ -499,7 +486,7 @@ impl System {
     /// (marked due by `step_bus`) or the end of its stall on full MSHRs
     /// (reported by [`CacheHierarchy::take_unstalled`], which has booked
     /// its deferred stall retries up to that point in tick order).
-    fn run_event_span(&mut self, max_cpu_cycles: u64) {
+    fn run_event(&mut self, max_cpu_cycles: u64) -> RunStats {
         let per_bus = self.cfg.cpu_cycles_per_bus;
         let fill_latency = u64::from(self.cfg.hierarchy.fill_latency);
         // Only live cores are ticked/skipped: a finished core's tick is a
@@ -508,7 +495,7 @@ impl System {
         // Wakes for its still-in-flight loads go through `wake`, not tick.
         let mut live: Vec<usize> =
             (0..self.cores.len()).filter(|&i| !self.cores[i].finished()).collect();
-        // Every core is due at the span's first cycle, which re-establishes
+        // Every core is due at the run's first cycle, which re-establishes
         // each stalled core's ledger entry in the hierarchy.
         self.due.fill(self.cpu_cycle);
         self.synced.fill(self.cpu_cycle);
@@ -577,6 +564,7 @@ impl System {
             self.cpu_cycle = next.min(self.telemetry_next_sample());
         }
         self.catch_up_cores(&live, self.cpu_cycle);
+        self.collect()
     }
 
     /// Applies the cycles core `i` skipped before `to` (all batchable by
@@ -587,7 +575,7 @@ impl System {
     fn catch_up(&mut self, i: usize, to: u64) {
         let from = self.synced[i];
         if to > from {
-            // `from > 0` here: every core ticks at its span's first cycle.
+            // `from > 0` here: every core ticks at the run's first cycle.
             self.cores[i].skip_cycles(from - 1, to - from, &mut self.hierarchy);
             self.synced[i] = to;
         }
@@ -596,122 +584,6 @@ impl System {
     fn catch_up_cores(&mut self, live: &[usize], to: u64) {
         for &i in live {
             self.catch_up(i, to);
-        }
-    }
-
-    /// SMARTS-style sampled simulation ([`Kernel::Sampled`]): alternate
-    /// detailed event-kernel windows with functional fast-forward
-    /// intervals. Each skipped interval jumps the clock by `skip` cycles
-    /// and consumes, per core, the instructions the interval would have
-    /// executed at the IPC the core sustained in the detailed window just
-    /// measured — without issuing any cache or memory traffic (see
-    /// [`TraceCore::fast_forward`]). The first half of every post-jump
-    /// window is detailed *warming* (pipeline refill, row buffers, cache
-    /// churn recover from the functional skip) and is excluded from the
-    /// measured IPC, as in SMARTS. Approximate by construction; the
-    /// measured-window IPC and duty-cycle bookkeeping land in
-    /// [`RunStats::sampled`] so reports can quote error bars against full
-    /// runs.
-    fn run_sampled(&mut self, max_cpu_cycles: u64, window: u64, skip: u64) -> RunStats {
-        let window = window.max(1);
-        let mut sampled = crate::metrics::SampledStats {
-            detailed_insts: vec![0; self.cores.len()],
-            ..Default::default()
-        };
-        let mut window_retired = vec![0u64; self.cores.len()];
-        let mut jumped = false;
-        while self.cores.iter().any(|c| !c.finished()) && self.cpu_cycle < max_cpu_cycles {
-            // Detailed window: the exact event-kernel cycle sequence,
-            // with an unmeasured warming prefix after a jump.
-            let start_cycle = self.cpu_cycle;
-            if jumped {
-                self.run_event_span(max_cpu_cycles.min(start_cycle.saturating_add(window / 2)));
-            }
-            let measured_from = self.cpu_cycle;
-            figaro_telemetry::probe!(
-                self.telemetry,
-                t => t.window_mark("window_begin", measured_from, sampled.windows)
-            );
-            for (i, core) in self.cores.iter().enumerate() {
-                window_retired[i] = core.retired();
-            }
-            self.run_event_span(max_cpu_cycles.min(start_cycle.saturating_add(window)));
-            let ran = self.cpu_cycle - measured_from;
-            figaro_telemetry::probe!(
-                self.telemetry,
-                t => t.window_mark("window_end", measured_from + ran, ran)
-            );
-            sampled.windows += 1;
-            sampled.detailed_cycles += ran;
-            for (i, core) in self.cores.iter().enumerate() {
-                window_retired[i] = core.retired() - window_retired[i];
-                sampled.detailed_insts[i] += window_retired[i];
-            }
-            if skip == 0 || self.cores.iter().all(TraceCore::finished) {
-                continue; // skip=0 degenerates to pure detailed simulation
-            }
-            // Fast-forward: jump the clock, functionally consuming the
-            // instructions each core would have executed at its measured
-            // window IPC. In-flight loads complete "during" the jump
-            // (their absolute wake stamps fall inside it).
-            let jump = skip.min(max_cpu_cycles - self.cpu_cycle);
-            if jump == 0 {
-                continue;
-            }
-            let now = self.cpu_cycle + jump - 1;
-            for (i, core) in self.cores.iter_mut().enumerate() {
-                let est = (u128::from(window_retired[i]) * u128::from(jump)
-                    / u128::from(ran.max(1))) as u64;
-                core.fast_forward(est, now);
-                // The jump retries no stalled access.
-                self.hierarchy.forget_stall(i);
-            }
-            // The memory side really simulates through the jump (cores
-            // are frozen, so this is just queued work draining plus
-            // refresh — proportional to pending requests, not cycles).
-            // Without it, in-flight reads would "age" across the whole
-            // skip and poison the next window's head-of-window latency.
-            self.fast_forward_channels(self.cpu_cycle - 1, now);
-            figaro_telemetry::probe!(
-                self.telemetry,
-                t => t.window_mark("fast_forward", self.cpu_cycle, jump)
-            );
-            self.cpu_cycle += jump;
-            sampled.skipped_cycles += jump;
-            jumped = true;
-        }
-        let mut stats = self.collect();
-        stats.sampled = Some(sampled);
-        stats
-    }
-
-    /// Advances only the memory side across a fast-forwarded interval:
-    /// processes every bus boundary in `(from, to]` where the hierarchy
-    /// has output to route, backlog waits for queue room, or a
-    /// controller has an event (command issue, write drain, refresh).
-    /// Cores are frozen, so no new traffic arrives and the channels
-    /// simply drain to quiescence; wakes for functionally-retired loads
-    /// are ignored by the cores' `seq >= head_seq` guard.
-    fn fast_forward_channels(&mut self, from: u64, to: u64) {
-        let per_bus = self.cfg.cpu_cycles_per_bus;
-        let fill_latency = u64::from(self.cfg.hierarchy.fill_latency);
-        let mut bus = from / per_bus + 1;
-        let end_bus = to / per_bus;
-        while bus <= end_bus {
-            let mut next =
-                if self.backlog_len > 0 || self.hierarchy.has_outgoing() { bus } else { u64::MAX };
-            if next > bus {
-                for sh in &mut self.shards {
-                    if let Some(b) = sh.mc.next_event_at(bus) {
-                        next = next.min(b);
-                    }
-                }
-            }
-            if next > end_bus {
-                break;
-            }
-            self.step_bus(next, per_bus, fill_latency, true);
-            bus = next + 1;
         }
     }
 
@@ -776,7 +648,6 @@ impl System {
             per_channel,
             hierarchy,
             energy,
-            sampled: None,
         }
     }
 }

@@ -27,14 +27,12 @@ pub enum Cat {
     Drain,
     /// Refresh command instants.
     Refresh,
-    /// Sampled-kernel detailed-window boundaries and fast-forward jumps.
-    Window,
     /// Warm-start resume markers.
     Warm,
 }
 
 /// All categories, in bit order.
-pub const CATEGORIES: [Cat; 5] = [Cat::Reloc, Cat::Drain, Cat::Refresh, Cat::Window, Cat::Warm];
+pub const CATEGORIES: [Cat; 4] = [Cat::Reloc, Cat::Drain, Cat::Refresh, Cat::Warm];
 
 impl Cat {
     /// The category label written to the JSON `cat` field and accepted
@@ -45,7 +43,6 @@ impl Cat {
             Cat::Reloc => "reloc",
             Cat::Drain => "drain",
             Cat::Refresh => "refresh",
-            Cat::Window => "window",
             Cat::Warm => "warm",
         }
     }
@@ -692,7 +689,7 @@ mod tests {
     #[test]
     fn merge_orders_by_time_then_lane() {
         let mut a = TraceBuffer::new(TraceFilter::parse("all"));
-        a.instant(Cat::Window, "window_begin", 5, 0);
+        a.instant(Cat::Warm, "warm_resume", 5, 0);
         let mut b = TraceBuffer::new(TraceFilter::parse("all"));
         b.instant(Cat::Refresh, "refresh", 3, 0);
         let dir = std::env::temp_dir().join("figaro-telemetry-test");
@@ -707,8 +704,8 @@ mod tests {
         .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let refresh_at = text.find("refresh").unwrap();
-        let window_at = text.find("window_begin").unwrap();
-        assert!(refresh_at < window_at, "earlier ts must be written first");
+        let warm_at = text.find("warm_resume").unwrap();
+        assert!(refresh_at < warm_at, "earlier ts must be written first");
         std::fs::remove_file(&path).ok();
     }
 
